@@ -39,8 +39,12 @@ machine, same pinned-exhaustion abort point), so on a clean plan the
 statically computed peak equals the simulated ``managed_max_bytes``
 *exactly* — the differential tests assert bit-equality, not closeness.
 No simulation runs anywhere in this module: the whole 140-point zoo grid
-verifies in a few seconds, dominated by plan compilation that
-every later simulation reuses (see docs/performance.md).
+verifies in about a second and a half.  Most of it is abstract walking,
+chiefly the ladders' probes.  Those run through a :class:`_ProbeSession`,
+which stops each probe at its first over-budget allocation and resumes
+consecutive probes from a forward snapshot at their first differing
+trigger, so a whole ladder stays close to linear in depth (see
+docs/performance.md).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from ..core.algo_config import AlgoConfig
 from ..core.dynamic import run_profiling_ladder
 from ..core.liveness import LivenessAnalysis
 from ..core.plan import CompiledPlan, StorageRecord, compiled_plan
-from ..core.policy import TransferPolicy
+from ..core.policy import PolicyKind, TransferPolicy
 from ..core.prefetcher import PrefetchState, find_prefetch_layer
 from ..core.recompute import CheckpointPlan, checkpoint_plan
 from ..graph.layer import LayerKind
@@ -66,6 +70,11 @@ from .diagnostics import Report, Severity
 def _aligned(nbytes: int) -> int:
     """A pool allocation's true footprint (mirrors PoolAllocator.alloc)."""
     return max(_align(nbytes), ALIGNMENT)
+
+
+def _copied(value):
+    """One piece of walk state, copied if the walk could mutate it."""
+    return value.copy() if isinstance(value, dict) else value
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +152,7 @@ class _PlanInterpreter:
         self.sync_after_offload = sync_after_offload
         self.sync_after_prefetch = sync_after_prefetch
         self.report = report if report is not None else Report(subject)
+        self.subject = subject or self.report.subject
         self.flagged = flagged
 
         self.wants = plan.offload_indices(policy, network)
@@ -463,29 +473,70 @@ class _PlanInterpreter:
         self.gradients.clear()
 
     def run(self) -> PlanInterpretation:
-        result = PlanInterpretation(
-            subject=self.report.subject,
-            budget_bytes=self.budget,
-            external_bytes=self.external,
-        )
+        """The full walk: every step, then the end sweep's leak checks."""
+        aborted = None
         try:
-            for item in self.plan.persistent:
-                self._alloc(item.nbytes, f"persistent W[{item.index}]")
-                self._alloc(item.nbytes, f"persistent dW[{item.index}]")
+            self._persistent()
             for step in self.plan.forward:
                 self._forward(step)
             for step in self.plan.backward:
                 self._backward(step)
             self._finish()
         except _AbortWalk as abort:
-            result.aborted = str(abort)
-        result.peak_bytes = self.peak
-        result.peak_step = self.peak_step
-        result.offload_bytes = self.offload_bytes
-        result.prefetch_bytes = self.prefetch_bytes
-        result.pinned_peak_bytes = self.pinned_peak
-        result.first_over_budget = self.first_over_budget
-        return result
+            aborted = str(abort)
+        return self._result(aborted)
+
+    def _persistent(self) -> None:
+        for item in self.plan.persistent:
+            self._alloc(item.nbytes, f"persistent W[{item.index}]")
+            self._alloc(item.nbytes, f"persistent dW[{item.index}]")
+
+    def _result(self, aborted: Optional[str]) -> PlanInterpretation:
+        return PlanInterpretation(
+            subject=self.subject,
+            budget_bytes=self.budget,
+            external_bytes=self.external,
+            peak_bytes=self.peak,
+            peak_step=self.peak_step,
+            offload_bytes=self.offload_bytes,
+            prefetch_bytes=self.prefetch_bytes,
+            pinned_peak_bytes=self.pinned_peak,
+            aborted=aborted,
+            first_over_budget=self.first_over_budget,
+        )
+
+    # -- resumable forward state (see _ProbeSession) -------------------
+    #: Everything a forward step may change.  The backward-only tables
+    #: are still empty in forward, and the Fig. 10 flags are rebuilt
+    #: from ``offloaded_at`` on restore.
+    _FORWARD_STATE: Tuple[str, ...] = (
+        "live", "peak", "peak_step", "device", "pinned_live",
+        "pinned_peak", "host", "mem_pos", "synced_through", "offload_pos",
+        "offloaded_at", "offload_bytes")
+
+    def decisions(self) -> Tuple[FrozenSet[int], ...]:
+        """What the config decides at forward triggers: (offloaded,
+        compressed, dropped, protected).  Two configs walk forward
+        identically up to the first trigger where these differ."""
+        compressed = self.wants if self.policy.kind is PolicyKind.COMP \
+            else self.policy.compress_layers & self.wants
+        return self.wants, compressed, frozenset(), frozenset()
+
+    def snapshot(self) -> dict:
+        """A copy of the forward state, for :meth:`restore`."""
+        saved = {name: _copied(getattr(self, name))
+                 for name in self._FORWARD_STATE}
+        saved["diagnostics"] = len(self.report.diagnostics)
+        return saved
+
+    def restore(self, saved: dict) -> None:
+        """Resume a fresh interpreter from a :meth:`snapshot` taken by
+        one whose config agrees on every step walked so far."""
+        for name in self._FORWARD_STATE:
+            setattr(self, name, _copied(saved[name]))
+        del self.report.diagnostics[saved["diagnostics"]:]
+        for index in self.offloaded_at:
+            self.state.mark_offloaded(index)
 
 
 def interpret_plan(
@@ -539,7 +590,6 @@ class _JointInterpreter(_PlanInterpreter):
         super().__init__(network, system, plan, config.policy(), **kwargs)
         self.config = config
         self.drops = config.drop
-        self.dropped: Set[int] = set()
         self._dead_resident: Set[int] = set()
         self._fwd_steps = {step.index: step for step in plan.forward}
         self._protected = frozenset(
@@ -547,6 +597,10 @@ class _JointInterpreter(_PlanInterpreter):
             if node.kind is LayerKind.INPUT) if config.drop \
             else frozenset()
         self._sp405_seen: Set[int] = set()
+
+    def decisions(self) -> Tuple[FrozenSet[int], ...]:
+        # The protected input changes dead releases anywhere in forward.
+        return super().decisions()[:2] + (self.drops, self._protected)
 
     # -- forward --------------------------------------------------------
     def _dead_release(self, step, dead) -> None:
@@ -560,7 +614,6 @@ class _JointInterpreter(_PlanInterpreter):
             return
         # RECOMPUTE: free now, regenerate from producers in backward.
         for rec in step.offload_candidates:
-            self.dropped.add(rec.owner)
             nbytes = self.device.pop(rec.owner, None)
             if nbytes is None:
                 if rec.owner not in self.flagged:
@@ -945,6 +998,99 @@ class StaticProbe:
     trainable: bool
 
 
+class _ProbeSession:
+    """The probe walks of one static ladder, resumed from shared state.
+
+    A ladder probe needs only ``trainable``, and its report is thrown
+    away, so two shortcuts keep a whole ladder close to linear in depth
+    while every probe still decides exactly what a full walk decides:
+
+    * **Early exit.** A walk stops at its first over-budget allocation
+      or pinned abort; the plan is untrainable from there on, so the
+      rest of forward, all of backward and the end sweep are skipped.
+    * **Resume.** Consecutive probes on one compiled plan walk forward
+      identically up to the first trigger where their decisions
+      differ.  The session keeps a snapshot of the forward state every
+      ~√L steps (the checkpointing trade of Chen et al. 2016, applied
+      to the verifier's own state) and restores the last one at or
+      before that trigger, so a greedy flip replays at most √L steps
+      before walking on from the flipped trigger.
+
+    A fresh walk is the same loop resumed from position 0.  Only a
+    probe's ``trainable`` is exact: after an early exit its peak and
+    byte counters stop at the first over-budget allocation.
+    """
+
+    def __init__(self, network: Network, system: SystemConfig,
+                 interpreter):
+        self.network = network
+        self.system = system
+        self.interpreter = interpreter
+        self.report = Report()
+        self.plan: Optional[CompiledPlan] = None
+        self.decisions: Tuple[FrozenSet[int], ...] = ()
+        self.positions: Dict[int, int] = {}
+        self.spacing = 1
+        #: (forward position, state before that step), ascending.
+        self.snapshots: List[Tuple[int, dict]] = []
+
+    def probe(self, config, algos: AlgoConfig,
+              description: str) -> PlanInterpretation:
+        plan = compiled_plan(self.network, self.system, algos)
+        walk = self.interpreter(self.network, self.system, plan, config,
+                                report=self.report, subject=description)
+        start = self._first_change(plan, walk.decisions())
+        while self.snapshots and self.snapshots[-1][0] > start:
+            self.snapshots.pop()
+        aborted = None
+        try:
+            if self.snapshots:
+                position, saved = self.snapshots[-1]
+                walk.restore(saved)
+            else:
+                position = 0
+                self.report.diagnostics.clear()
+                walk._persistent()
+            self._walk(walk, position)
+        except _AbortWalk as abort:
+            aborted = str(abort)
+        return walk._result(aborted)
+
+    def _first_change(self, plan: CompiledPlan,
+                      decisions: Tuple[FrozenSet[int], ...]) -> int:
+        """First forward position where this probe's walk can differ
+        from the previous probe's."""
+        previous, self.decisions = self.decisions, decisions
+        if plan is not self.plan:
+            self.plan = plan
+            self.positions = {step.index: position for position, step
+                              in enumerate(plan.forward)}
+            self.spacing = max(1, math.isqrt(len(plan.forward)))
+            self.snapshots = []
+            return 0
+        if decisions[3] != previous[3]:
+            return 0
+        changed = frozenset().union(*(
+            now ^ before for now, before in zip(decisions[:3], previous)))
+        return min((self.positions.get(index, 0) for index in changed),
+                   default=len(plan.forward))
+
+    def _walk(self, walk: _PlanInterpreter, start: int) -> None:
+        forward = walk.plan.forward
+        for position in range(start, len(forward)):
+            if walk.first_over_budget is not None:
+                return
+            if position % self.spacing == 0 and (
+                    not self.snapshots
+                    or self.snapshots[-1][0] < position):
+                self.snapshots.append((position, walk.snapshot()))
+            walk._forward(forward[position])
+        for step in walk.plan.backward:
+            if walk.first_over_budget is not None:
+                return
+            walk._backward(step)
+
+
 def plan_dynamic_static(
     network: Network, system: SystemConfig
 ) -> Tuple[TransferPolicy, AlgoConfig, List[StaticProbe]]:
@@ -958,15 +1104,17 @@ def plan_dynamic_static(
     suite asserts both ladders adopt the identical configuration.
 
     Raises :class:`repro.core.dynamic.UntrainableError` exactly when
-    the dynamic planner would.
+    the dynamic planner would.  Probes run through a
+    :class:`_ProbeSession`, so an untrainable probe's
+    ``max_usage_bytes`` (quoted by that error) is the usage at its
+    first over-budget allocation: a lower bound on the full walk's.
     """
     passes: List[StaticProbe] = []
+    session = _ProbeSession(network, system, _PlanInterpreter)
 
     def probe(policy: TransferPolicy, algos: AlgoConfig,
               description: str) -> PlanInterpretation:
-        plan = compiled_plan(network, system, algos)
-        interp = interpret_plan(network, system, plan, policy,
-                                subject=description)
+        interp = session.probe(policy, algos, description)
         passes.append(StaticProbe(description, policy.describe(),
                                   algos.label, interp.trainable))
         return interp
@@ -987,17 +1135,17 @@ def plan_joint_static(
     by trainability and the deterministic plan-derived cost model only
     — never by simulated time — so this and
     :func:`repro.core.joint.plan_joint` always settle on the identical
-    configuration (the parity differential test pins it).
+    configuration (the parity differential test pins it).  Probes run
+    through a :class:`_ProbeSession`, as in :func:`plan_dynamic_static`.
     """
     from ..core.joint import run_joint_ladder
 
     passes: List[StaticProbe] = []
+    session = _ProbeSession(network, system, _JointInterpreter)
 
     def probe(config, algos: AlgoConfig,
               description: str) -> PlanInterpretation:
-        plan = compiled_plan(network, system, algos)
-        interp = interpret_joint_plan(network, system, plan, config,
-                                      subject=description)
+        interp = session.probe(config, algos, description)
         passes.append(StaticProbe(description, config.describe(),
                                   algos.label, interp.trainable))
         return interp

@@ -19,6 +19,7 @@ from .joint import (
     JointConfig,
     JointDecision,
     JointPlan,
+    UndroppableTriggerError,
     plan_joint,
     simulate_joint,
     simulate_joint_config,
@@ -60,6 +61,7 @@ __all__ = [
     "ProfilingPass",
     "StorageInfo",
     "TransferPolicy",
+    "UndroppableTriggerError",
     "UntrainableError",
     "baseline_allocation_bytes",
     "cached_baseline",

@@ -82,6 +82,15 @@ class JointConfig:
                 f"comp={len(self.compress)}, drop={len(self.drop)})")
 
 
+class UndroppableTriggerError(ValueError):
+    """A joint config drops a trigger that cannot be re-materialized.
+
+    Some offload candidate of the trigger is not a recomputable feature
+    map (for example the INPUT batch): replaying it would allocate the
+    buffer and run no kernels, so backward would read garbage.
+    """
+
+
 @dataclass
 class JointPlan:
     """The configuration the joint ladder settles on, plus its probes."""
@@ -99,20 +108,6 @@ class JointPlan:
 # ----------------------------------------------------------------------
 # Deterministic cost model
 # ----------------------------------------------------------------------
-def droppable_owners(network: Network, plan: CompiledPlan) -> FrozenSet[int]:
-    """Storages a joint plan may drop: recomputable feature maps.
-
-    Same eligibility as :func:`repro.core.recompute.checkpoint_plan` —
-    needed backward, produced by a feature-extraction layer, and not
-    the INPUT batch (inputs cannot be recomputed from anything).
-    """
-    return frozenset(
-        rec.owner for rec in plan.records.values()
-        if rec.info.needed_backward
-        and network[rec.owner].is_feature_extraction
-        and network[rec.owner].kind is not LayerKind.INPUT)
-
-
 def trigger_costs(
     network: Network, plan: CompiledPlan
 ) -> Dict[int, Dict[JointDecision, float]]:
@@ -129,7 +124,7 @@ def trigger_costs(
       chain — only offered when *all* of a trigger's candidates are
       recomputable (the INPUT batch never is).
     """
-    droppable = droppable_owners(network, plan)
+    droppable = plan.droppable_owners(network)
     fwd = {step.index: step for step in plan.forward}
     costs: Dict[int, Dict[JointDecision, float]] = {}
     for step in plan.forward:
@@ -229,8 +224,7 @@ def run_joint_ladder(
     triggers = sorted(plan.offload_indices(
         TransferPolicy.vdnn_all(), network))
     costs = trigger_costs(network, plan)
-    drop_ok = frozenset(t for t in triggers
-                        if JointDecision.RECOMPUTE in costs[t])
+    drop_ok = plan.drop_triggers
 
     all_offload = JointConfig(offload=frozenset(triggers))
     all_compress = JointConfig(compress=frozenset(triggers))
@@ -483,8 +477,18 @@ def simulate_joint_config(
     The joint analogue of :func:`~repro.core.executor.simulate_vdnn`
     (no fault injection: the joint executor's DMA legs inherit the
     fault machinery, but planning under faults is out of scope).
+
+    Raises :class:`UndroppableTriggerError` when ``config.drop`` names a
+    trigger whose candidates are not all droppable.
     """
     plan = compiled_plan(network, system, algos)
+    triggers = plan.offload_indices(TransferPolicy.vdnn_all(), network)
+    undroppable = (config.drop & triggers) - plan.drop_triggers
+    if undroppable:
+        raise UndroppableTriggerError(
+            f"{network.name}: {config.describe()} drops triggers "
+            f"{sorted(undroppable)} whose offload candidates are not all "
+            f"recomputable feature maps")
     sim = _JointSimulation(network, system, config, algos, plan,
                            verify=verify, obs=obs)
     failure: Optional[str] = None

@@ -16,7 +16,8 @@ it.  Policies are applied as an overlay: the per-layer offload
 *candidates* (refcount gate: last forward reader + needed backward)
 live in the plan, and :meth:`CompiledPlan.offload_indices` resolves a
 :class:`~repro.core.policy.TransferPolicy` to the set of trigger layers
-that actually offload, cached per policy.
+that actually offload (cached per fixed policy; a custom policy is the
+vDNN_all set restricted to its layers).
 
 :class:`AlgoConfig` is mutable (``downgrade`` swaps algorithms in
 place), so plans are keyed by a content signature of its profiles, not
@@ -34,7 +35,7 @@ from ..hw.config import SystemConfig
 from ..kernels.latency import LatencyModel
 from .algo_config import AlgoConfig
 from .liveness import LivenessAnalysis, StorageInfo
-from .policy import TransferPolicy
+from .policy import PolicyKind, TransferPolicy
 
 
 class StorageRecord:
@@ -142,7 +143,8 @@ class CompiledPlan:
 
     __slots__ = ("network_name", "forward", "backward", "persistent",
                  "external_bytes", "persistent_bytes", "classifier_indices",
-                 "records", "baseline_breakdown", "_offload_sets")
+                 "records", "baseline_breakdown", "drop_triggers",
+                 "_offload_sets")
 
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig):
@@ -230,7 +232,21 @@ class CompiledPlan:
         self.forward = tuple(forward)
 
         # -- backward steps --------------------------------------------
-        all_storages = liveness.all_storages()
+        # Gradient allocations and releases, bucketed by backward step in
+        # one pass over the storages.  Owner order is kept within each
+        # step (and a storage's Y release precedes its dY release): free
+        # order shapes the pool's holes, hence later offsets.
+        grad_allocs: Dict[int, List[StorageRecord]] = {}
+        releases: Dict[int, List[Tuple[int, bool]]] = {}
+        for storage in liveness.all_storages():
+            if storage.needed_backward:
+                releases.setdefault(storage.backward_release_after,
+                                    []).append((storage.owner, False))
+            if storage.needs_gradient:
+                grad_allocs.setdefault(storage.gradient_alloc_at,
+                                       []).append(records[storage.owner])
+                releases.setdefault(storage.gradient_release_after,
+                                    []).append((storage.owner, True))
         backward: List[BackwardStep] = []
         for index in network.backward_schedule():
             node = network[index]
@@ -248,9 +264,7 @@ class CompiledPlan:
                 required[own.owner] = own
             step.required = tuple(records[o] for o in required)
 
-            step.grad_allocs = tuple(
-                records[s.owner] for s in all_storages
-                if s.needs_gradient and s.gradient_alloc_at == index)
+            step.grad_allocs = tuple(grad_allocs.get(index, ()))
 
             step.ws_bytes = algos.workspace_bytes(node)
             if step.ws_bytes:
@@ -260,15 +274,7 @@ class CompiledPlan:
             step.seconds = timing.seconds
             step.dram_nbytes = int(timing.dram_bytes)
 
-            releases: List[Tuple[int, bool]] = []
-            for storage in all_storages:
-                if storage.needed_backward \
-                        and storage.backward_release_after == index:
-                    releases.append((storage.owner, False))
-                if storage.needs_gradient \
-                        and storage.gradient_release_after == index:
-                    releases.append((storage.owner, True))
-            step.releases = tuple(releases)
+            step.releases = tuple(releases.get(index, ()))
 
             step.grad_write_candidates = tuple(
                 (s.owner, records[s.owner].g_buf)
@@ -293,9 +299,28 @@ class CompiledPlan:
 
         self._offload_sets: Dict[TransferPolicy, FrozenSet[int]] = {}
 
+        # -- joint-planner eligibility ---------------------------------
+        # vDNN_all triggers whose every offload candidate is droppable:
+        # the only triggers a joint plan may recompute.
+        droppable = self.droppable_owners(network)
+        triggers = self.offload_indices(TransferPolicy.vdnn_all(), network)
+        self.drop_triggers = frozenset(
+            step.index for step in self.forward
+            if step.index in triggers
+            and all(rec.owner in droppable
+                    for rec in step.offload_candidates))
+
     def offload_indices(self, policy: TransferPolicy,
                         network: Network) -> FrozenSet[int]:
-        """Trigger layers whose offload candidates this policy offloads."""
+        """Trigger layers whose offload candidates this policy offloads.
+
+        Memoized for the fixed policies.  A CUSTOM policy (every joint
+        ladder probe builds a new one) is the vDNN_all trigger set
+        restricted to its offload layers, computed without memoizing.
+        """
+        if policy.kind is PolicyKind.CUSTOM:
+            return self.offload_indices(TransferPolicy.vdnn_all(),
+                                        network) & policy.offload_layers
         cached = self._offload_sets.get(policy)
         if cached is None:
             cached = frozenset(
@@ -304,6 +329,19 @@ class CompiledPlan:
                 and policy.wants_offload(network[step.index]))
             self._offload_sets[policy] = cached
         return cached
+
+    def droppable_owners(self, network: Network) -> FrozenSet[int]:
+        """Storages a joint plan may drop: recomputable feature maps.
+
+        Same eligibility as :func:`repro.core.recompute.checkpoint_plan`
+        — needed backward, produced by a feature-extraction layer, and
+        not the INPUT batch (inputs cannot be recomputed from anything).
+        """
+        return frozenset(
+            rec.owner for rec in self.records.values()
+            if rec.info.needed_backward
+            and network[rec.owner].is_feature_extraction
+            and network[rec.owner].kind is not LayerKind.INPUT)
 
     # -- invariant-relevant views (static verifier) --------------------
     # These flip the per-step schedules into per-storage maps so

@@ -12,6 +12,9 @@ Four layers of pinning, mirroring the repo's existing walls:
   configuration the simulating ladder adopts, and the abstract walk's
   accounting matches the simulator bit-for-bit on every metric the
   planner decides by.
+* **Drop validation** — a config that drops a trigger whose candidates
+  cannot be recomputed (the INPUT batch's consumer) is rejected with a
+  typed error instead of "rematerializing" garbage.
 * **Mutations** — surgically corrupting a known-good artifact (drop a
   rematerialization ALLOC from a traced schedule, overstate a record's
   compression ratio) makes the matching verifier rule fire; the wall
@@ -19,6 +22,7 @@ Four layers of pinning, mirroring the repo's existing walls:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.safety import check_memory_safety
@@ -30,12 +34,17 @@ from repro.analysis.static_plan import (
 )
 from repro.analysis.trace import OpKind
 from repro.analysis.verify import verify_point, verify_result
-from repro.core import AlgoConfig, UntrainableError, evaluate
-from repro.core.joint import JointConfig, plan_joint, simulate_joint_config
+from repro.core import AlgoConfig, TransferPolicy, UntrainableError, \
+    evaluate
+from repro.core.joint import JointConfig, UndroppableTriggerError, \
+    plan_joint, simulate_joint_config
 from repro.core.plan import compiled_plan
+from repro.graph.layer import LayerKind
 from repro.hw import PAPER_SYSTEM
 from repro.obs import Instrumentation
 from repro.zoo import build
+
+from test_properties import random_dag_network, random_linear_network
 
 GB = 1 << 30
 
@@ -249,3 +258,61 @@ class TestMutations:
             network, system, JointConfig(),
             AlgoConfig.memory_optimal(network))
         assert any(d.rule == "SP401" for d in report.diagnostics)
+
+
+# ----------------------------------------------------------------------
+# Drop validation: accepted => sound
+# ----------------------------------------------------------------------
+def _trigger_sets(network, algos):
+    plan = compiled_plan(network, PAPER_SYSTEM, algos)
+    triggers = plan.offload_indices(TransferPolicy.vdnn_all(), network)
+    return triggers, plan.drop_triggers
+
+
+class TestDropValidation:
+    def test_dropping_the_input_consumer_is_rejected(self):
+        network = build("alexnet", 8)
+        algos = AlgoConfig.performance_optimal(network)
+        triggers, droppable = _trigger_sets(network, algos)
+        input_consumer = [t for t in triggers - droppable
+                          if any(network[p].kind is LayerKind.INPUT
+                                 for p in network[t].producers)]
+        assert input_consumer
+        config = JointConfig(offload=triggers - set(input_consumer),
+                             drop=frozenset(input_consumer))
+        with pytest.raises(UndroppableTriggerError) as raised:
+            simulate_joint_config(network, PAPER_SYSTEM, config, algos)
+        assert isinstance(raised.value, ValueError)
+        assert str(input_consumer[0]) in str(raised.value)
+
+    def test_static_side_still_reports_sp405(self):
+        """The typed error guards the simulator only; the static walk
+        keeps reporting the same config as an SP405 finding."""
+        network = build("alexnet", 8)
+        algos = AlgoConfig.performance_optimal(network)
+        triggers, droppable = _trigger_sets(network, algos)
+        config = JointConfig(drop=frozenset(triggers - droppable))
+        report = verify_joint_plan(network, PAPER_SYSTEM, config, algos)
+        assert report.by_rule("SP405")
+
+    @settings(max_examples=25, deadline=None)
+    @given(network=st.one_of(random_linear_network(),
+                             random_dag_network()),
+           data=st.data())
+    def test_random_drop_sets(self, network, data):
+        """Drops inside the allowed set simulate; one undroppable
+        trigger anywhere in the set is rejected."""
+        algos = AlgoConfig.performance_optimal(network)
+        triggers, droppable = _trigger_sets(network, algos)
+        drop = frozenset(data.draw(st.sets(st.sampled_from(
+            sorted(droppable)))) if droppable else ())
+        result = simulate_joint_config(
+            network, PAPER_SYSTEM, JointConfig(drop=drop), algos)
+        assert result.trainable
+        forbidden = sorted(triggers - droppable)
+        if forbidden:
+            bad = data.draw(st.sampled_from(forbidden))
+            with pytest.raises(UndroppableTriggerError):
+                simulate_joint_config(network, PAPER_SYSTEM,
+                                      JointConfig(drop=drop | {bad}),
+                                      algos)

@@ -33,11 +33,14 @@ Rules (catalog in :mod:`repro.analysis.diagnostics`):
 * **SP406** — serve :class:`~repro.serve.layering.ServicePlan`
   accounting is internally consistent.
 
-The walk mirrors :class:`repro.core.executor._VDNNSimulation` step for
-step (same allocation order, same ``find_prefetch_layer`` state
-machine, same pinned-exhaustion abort point), so on a clean plan the
-statically computed peak equals the simulated ``managed_max_bytes``
-*exactly* — the differential tests assert bit-equality, not closeness.
+:class:`_PlanInterpreter` is the static twin of the one executor walk,
+:class:`repro.core.executor._VDNNSimulation`, for every policy: it
+mirrors it step for step (same allocation order, same
+``find_prefetch_layer`` state machine, same pinned-exhaustion abort
+point, and for joint configs the same drops, input protection and
+producer replays), so on a clean plan the statically computed peak
+equals the simulated ``managed_max_bytes`` *exactly* — the
+differential tests assert bit-equality, not closeness.
 No simulation runs anywhere in this module: the whole 140-point zoo grid
 verifies in about a second and a half.  Most of it is abstract walking,
 chiefly the ladders' probes.  Those run through a :class:`_ProbeSession`,
@@ -127,7 +130,8 @@ class _PlanInterpreter:
     DMA gets a serial issue position ``mem_pos`` and every sync raises
     the ``synced_through`` watermark; an operation that reads or
     reuses a buffer is safe iff the covering transfer's position is at
-    or below the watermark.
+    or below the watermark.  ``drops`` turns on the joint planner's
+    RECOMPUTE triggers exactly as it does on the executor walk.
     """
 
     def __init__(
@@ -143,6 +147,7 @@ class _PlanInterpreter:
         report: Optional[Report] = None,
         flagged: FrozenSet[int] = frozenset(),
         subject: str = "",
+        drops: FrozenSet[int] = frozenset(),
     ):
         self.network = network
         self.system = system
@@ -184,6 +189,14 @@ class _PlanInterpreter:
         self.offload_bytes = 0
         self.prefetch_bytes = 0
 
+        # Joint drop triggers, as in the executor: dropped candidates
+        # are freed without DMA, the INPUT batch survives forward, and
+        # a backward miss replays the producer chain.
+        self.drops = drops
+        self._protected = plan.input_owners if drops else frozenset()
+        self._dead_resident: Set[int] = set()
+        self._sp405_seen: Set[int] = set()
+
     # -- pool abstraction ----------------------------------------------
     def _alloc(self, nbytes: int, label: str) -> None:
         self.live += _aligned(nbytes)
@@ -221,6 +234,8 @@ class _PlanInterpreter:
             self._free(step.ws_bytes)
 
     def _dead_release(self, step, dead) -> None:
+        if dead.owner in self._protected:
+            return  # replays may need the input batch
         index = step.index
         nbytes = self.device.pop(dead.owner, None)
         if nbytes is None:
@@ -256,6 +271,9 @@ class _PlanInterpreter:
 
     def _offload(self, step) -> None:
         index = step.index
+        if index in self.drops:
+            self._drop(step)
+            return
         compress = self.policy.compresses(index)
         completed: List[StorageRecord] = []
         for rec in step.offload_candidates:
@@ -316,6 +334,20 @@ class _PlanInterpreter:
                     refs=(f"fwd#{index}",
                           f"offload mem op #{self.offload_pos[rec.owner]}",
                           f"synced through #{self.synced_through}"))
+            self._free(nbytes)
+
+    def _drop(self, step) -> None:
+        """RECOMPUTE: free now, regenerate from producers in backward."""
+        for rec in step.offload_candidates:
+            nbytes = self.device.pop(rec.owner, None)
+            if nbytes is None:
+                if rec.owner not in self.flagged:
+                    self.report.add(
+                        "SP404",
+                        f"fwd {step.name}: drop of Y{rec.owner} targets "
+                        f"nothing (buffer not on device)",
+                        refs=(f"fwd#{step.index}",))
+                continue
             self._free(nbytes)
 
     # -- backward pass -------------------------------------------------
@@ -401,6 +433,9 @@ class _PlanInterpreter:
         if step.ws_bytes:
             self._free(step.ws_bytes)
 
+        if self._dead_resident:
+            self._flush_dead()
+
     def _demand_restore(self, step, rec) -> None:
         # Demand fetch: blocking, so it synchronizes everything
         # issued so far — it can never race (emits nothing).
@@ -415,6 +450,9 @@ class _PlanInterpreter:
         self.restored.add(rec.owner)
 
     def _missing_required(self, step, rec) -> None:
+        if self.drops:
+            self._remat(rec.owner, step)
+            return
         if rec.owner not in self.flagged:
             self.report.add(
                 "SP404",
@@ -423,6 +461,52 @@ class _PlanInterpreter:
                 f"a release list freed it too early "
                 f"(use-after-free)",
                 refs=(f"bwd#{step.index}",))
+
+    def _remat(self, owner: int, step) -> None:
+        """Replay a dropped storage's producer chain, in the executor's
+        order (producers first, then Y, then each member's transient
+        workspace), so peak bytes match the simulation bit for bit."""
+        rec = self.plan.records[owner]
+        if owner in self.plan.input_owners and owner not in self.flagged \
+                and owner not in self._sp405_seen:
+            # Inputs cannot be recomputed from anything: the replay
+            # would allocate Y and run zero kernels — garbage data.
+            self._sp405_seen.add(owner)
+            self.report.add(
+                "SP405",
+                f"bwd {step.name}: re-materialization of Y{owner} "
+                f"bottoms out at the freed INPUT batch — inputs "
+                f"cannot be recomputed",
+                refs=(f"bwd#{step.index}",))
+        info = rec.info
+        if not info.needed_backward:
+            self._dead_resident.add(owner)
+        for member in info.chain:
+            for producer in self.network[member].producers:
+                source = self.network[producer].storage_index
+                if source in self.device or source == owner:
+                    continue
+                if source in self.host:
+                    self._demand_restore(step, self.plan.records[source])
+                else:
+                    self._remat(source, step)
+        self.device[owner] = rec.nbytes
+        self._alloc(rec.nbytes,
+                    f"bwd {step.name}: remat Y{owner} ({rec.name})")
+        for member in info.chain:
+            fstep = self.plan.forward_steps[member]
+            if fstep.ws_bytes and not fstep.is_input:
+                self._alloc(fstep.ws_bytes,
+                            f"bwd {step.name}: remat workspace "
+                            f"{fstep.name}(re)")
+                self._free(fstep.ws_bytes)
+
+    def _flush_dead(self) -> None:
+        for owner in sorted(self._dead_resident):
+            nbytes = self.device.pop(owner, None)
+            if nbytes is not None:
+                self._free(nbytes)
+        self._dead_resident.clear()
 
     def _check_window(self, target: int, issue: int) -> None:
         """SP403 warning: the Fig. 10 CONV-bounded window (HB004 twin)."""
@@ -447,6 +531,12 @@ class _PlanInterpreter:
     # -- end of iteration ----------------------------------------------
     def _finish(self) -> None:
         """The executor's end sweep, plus the static leak check."""
+        # The protected input survives forward by design when anything
+        # drops; free it silently so the leak sweep stays meaningful.
+        for owner in self._protected:
+            nbytes = self.device.pop(owner, None)
+            if nbytes is not None:
+                self._free(nbytes)
         for owner, nbytes in list(self.device.items()):
             self._free(nbytes)
             rec = self.plan.records.get(owner)
@@ -520,7 +610,8 @@ class _PlanInterpreter:
         identically up to the first trigger where these differ."""
         compressed = self.wants if self.policy.kind is PolicyKind.COMP \
             else self.policy.compress_layers & self.wants
-        return self.wants, compressed, frozenset(), frozenset()
+        # The protected input changes dead releases anywhere in forward.
+        return self.wants, compressed, self.drops, self._protected
 
     def snapshot(self) -> dict:
         """A copy of the forward state, for :meth:`restore`."""
@@ -567,135 +658,6 @@ def interpret_plan(
     ).run()
 
 
-# ----------------------------------------------------------------------
-# Abstract interpretation of a joint (keep/offload/compress/recompute)
-# configuration — mirrors core.joint._JointSimulation the same way the
-# base interpreter mirrors _VDNNSimulation
-# ----------------------------------------------------------------------
-class _JointInterpreter(_PlanInterpreter):
-    """Symbolic walk of one compiled plan under a joint decision set.
-
-    Offload and compressed-offload triggers reuse the inherited walk
-    verbatim (the config's policy carries the compress set).  Drop
-    triggers discard their candidates with no DMA and no pinned
-    staging; the backward ``_missing_required`` hook — a hard SP404 in
-    the base walk — becomes the re-materialization recursion here,
-    replaying producer chains abstractly (allocate Y, workspace
-    alloc/free per chain member) in the exact order the executor
-    replays them, so peak bytes still match the simulation bit for bit.
-    """
-
-    def __init__(self, network: Network, system: SystemConfig,
-                 plan: CompiledPlan, config, **kwargs):
-        super().__init__(network, system, plan, config.policy(), **kwargs)
-        self.config = config
-        self.drops = config.drop
-        self._dead_resident: Set[int] = set()
-        self._fwd_steps = {step.index: step for step in plan.forward}
-        self._protected = frozenset(
-            node.storage_index for node in network
-            if node.kind is LayerKind.INPUT) if config.drop \
-            else frozenset()
-        self._sp405_seen: Set[int] = set()
-
-    def decisions(self) -> Tuple[FrozenSet[int], ...]:
-        # The protected input changes dead releases anywhere in forward.
-        return super().decisions()[:2] + (self.drops, self._protected)
-
-    # -- forward --------------------------------------------------------
-    def _dead_release(self, step, dead) -> None:
-        if dead.owner in self._protected:
-            return  # replays may need the input batch
-        super()._dead_release(step, dead)
-
-    def _offload(self, step) -> None:
-        if step.index not in self.drops:
-            super()._offload(step)
-            return
-        # RECOMPUTE: free now, regenerate from producers in backward.
-        for rec in step.offload_candidates:
-            nbytes = self.device.pop(rec.owner, None)
-            if nbytes is None:
-                if rec.owner not in self.flagged:
-                    self.report.add(
-                        "SP404",
-                        f"fwd {step.name}: drop of Y{rec.owner} targets "
-                        f"nothing (buffer not on device)",
-                        refs=(f"fwd#{step.index}",))
-                continue
-            self._free(nbytes)
-
-    # -- backward -------------------------------------------------------
-    def _missing_required(self, step, rec) -> None:
-        self._ensure(rec.owner, step)
-
-    def _ensure(self, owner: int, step) -> None:
-        if owner in self.device:
-            return
-        if owner in self.host:
-            self._demand_restore(step, self.plan.records[owner])
-            return
-        self._remat(owner, step)
-
-    def _remat(self, owner: int, step) -> None:
-        rec = self.plan.records.get(owner)
-        if rec is None or self.network[owner].kind is LayerKind.INPUT:
-            # Inputs cannot be recomputed from anything: the replay
-            # would allocate Y and run zero kernels — garbage data.
-            if owner not in self.flagged \
-                    and owner not in self._sp405_seen:
-                self._sp405_seen.add(owner)
-                self.report.add(
-                    "SP405",
-                    f"bwd {step.name}: re-materialization of Y{owner} "
-                    f"bottoms out at the freed INPUT batch — inputs "
-                    f"cannot be recomputed",
-                    refs=(f"bwd#{step.index}",))
-            if rec is None:
-                return
-        info = rec.info
-        if not info.needed_backward:
-            self._dead_resident.add(owner)
-        for member in info.chain:
-            for producer in self.network[member].producers:
-                source = self.network[producer].storage_index
-                if source != owner and source not in self.device:
-                    self._ensure(source, step)
-        self.device[owner] = rec.nbytes
-        self._alloc(rec.nbytes,
-                    f"bwd {step.name}: remat Y{owner} ({rec.name})")
-        for member in info.chain:
-            fstep = self._fwd_steps[member]
-            if fstep.is_input:
-                continue
-            if fstep.ws_bytes:
-                # alloc → replay kernel → free: same peak as the
-                # executor's transient replay workspace.
-                self._alloc(fstep.ws_bytes,
-                            f"bwd {step.name}: remat workspace "
-                            f"{fstep.name}(re)")
-                self._free(fstep.ws_bytes)
-
-    def _backward(self, step) -> None:
-        super()._backward(step)
-        if self._dead_resident:
-            for owner in sorted(self._dead_resident):
-                nbytes = self.device.pop(owner, None)
-                if nbytes is not None:
-                    self._free(nbytes)
-            self._dead_resident.clear()
-
-    # -- end of iteration ----------------------------------------------
-    def _finish(self) -> None:
-        # The protected input survives forward by design when anything
-        # drops; free it silently so the leak sweep stays meaningful.
-        for owner in self._protected:
-            nbytes = self.device.pop(owner, None)
-            if nbytes is not None:
-                self._free(nbytes)
-        super()._finish()
-
-
 def interpret_joint_plan(
     network: Network,
     system: SystemConfig,
@@ -707,8 +669,8 @@ def interpret_joint_plan(
     subject: str = "",
 ) -> PlanInterpretation:
     """Abstractly execute one (plan, joint config) point."""
-    return _JointInterpreter(
-        network, system, plan, config,
+    return _PlanInterpreter(
+        network, system, plan, config.policy(), drops=config.drop,
         report=report, flagged=flagged, subject=subject,
     ).run()
 
@@ -892,6 +854,21 @@ def audit_compression(network: Network, system: SystemConfig,
 # ----------------------------------------------------------------------
 # Entry points for training plans
 # ----------------------------------------------------------------------
+def _sp401(report: Report, interp: PlanInterpretation) -> Report:
+    """The SP401 tail every training-plan verifier ends with."""
+    if interp.aborted is not None:
+        report.add("SP401",
+                   f"plan aborts before completing: {interp.aborted}",
+                   refs=("pinned-host budget",))
+    elif interp.first_over_budget is not None:
+        report.add("SP401",
+                   f"statically computed peak {interp.max_usage_bytes} "
+                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
+                   f"bytes; first over-budget allocation: "
+                   f"{interp.first_over_budget}")
+    return report
+
+
 def verify_compiled_plan(
     network: Network,
     system: SystemConfig,
@@ -914,17 +891,7 @@ def verify_compiled_plan(
         sync_after_offload=sync_after_offload,
         sync_after_prefetch=sync_after_prefetch,
         report=report, flagged=flagged, subject=report.subject)
-    if interp.aborted is not None:
-        report.add("SP401",
-                   f"plan aborts before completing: {interp.aborted}",
-                   refs=("pinned-host budget",))
-    elif interp.first_over_budget is not None:
-        report.add("SP401",
-                   f"statically computed peak {interp.max_usage_bytes} "
-                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
-                   f"bytes; first over-budget allocation: "
-                   f"{interp.first_over_budget}")
-    return report
+    return _sp401(report, interp)
 
 
 def verify_plan(
@@ -972,17 +939,7 @@ def verify_joint_plan(
     interp = interpret_joint_plan(
         network, system, plan, config,
         report=report, flagged=flagged, subject=report.subject)
-    if interp.aborted is not None:
-        report.add("SP401",
-                   f"plan aborts before completing: {interp.aborted}",
-                   refs=("pinned-host budget",))
-    elif interp.first_over_budget is not None:
-        report.add("SP401",
-                   f"statically computed peak {interp.max_usage_bytes} "
-                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
-                   f"bytes; first over-budget allocation: "
-                   f"{interp.first_over_budget}")
-    return report
+    return _sp401(report, interp)
 
 
 # ----------------------------------------------------------------------
@@ -1021,11 +978,9 @@ class _ProbeSession:
     byte counters stop at the first over-budget allocation.
     """
 
-    def __init__(self, network: Network, system: SystemConfig,
-                 interpreter):
+    def __init__(self, network: Network, system: SystemConfig):
         self.network = network
         self.system = system
-        self.interpreter = interpreter
         self.report = Report()
         self.plan: Optional[CompiledPlan] = None
         self.decisions: Tuple[FrozenSet[int], ...] = ()
@@ -1036,9 +991,15 @@ class _ProbeSession:
 
     def probe(self, config, algos: AlgoConfig,
               description: str) -> PlanInterpretation:
+        """One probe of a :class:`TransferPolicy` or a joint config."""
         plan = compiled_plan(self.network, self.system, algos)
-        walk = self.interpreter(self.network, self.system, plan, config,
-                                report=self.report, subject=description)
+        if isinstance(config, TransferPolicy):
+            policy, drops = config, frozenset()
+        else:
+            policy, drops = config.policy(), config.drop
+        walk = _PlanInterpreter(self.network, self.system, plan, policy,
+                                drops=drops, report=self.report,
+                                subject=description)
         start = self._first_change(plan, walk.decisions())
         while self.snapshots and self.snapshots[-1][0] > start:
             self.snapshots.pop()
@@ -1110,7 +1071,7 @@ def plan_dynamic_static(
     first over-budget allocation: a lower bound on the full walk's.
     """
     passes: List[StaticProbe] = []
-    session = _ProbeSession(network, system, _PlanInterpreter)
+    session = _ProbeSession(network, system)
 
     def probe(policy: TransferPolicy, algos: AlgoConfig,
               description: str) -> PlanInterpretation:
@@ -1131,7 +1092,7 @@ def plan_joint_static(
 
     The joint analogue of :func:`plan_dynamic_static`: replays
     :func:`repro.core.joint.run_joint_ladder` probe for probe, each an
-    abstract walk under :class:`_JointInterpreter`.  The ladder adopts
+    abstract walk of the config's policy and drop set.  The ladder adopts
     by trainability and the deterministic plan-derived cost model only
     — never by simulated time — so this and
     :func:`repro.core.joint.plan_joint` always settle on the identical
@@ -1141,7 +1102,7 @@ def plan_joint_static(
     from ..core.joint import run_joint_ladder
 
     passes: List[StaticProbe] = []
-    session = _ProbeSession(network, system, _JointInterpreter)
+    session = _ProbeSession(network, system)
 
     def probe(config, algos: AlgoConfig,
               description: str) -> PlanInterpretation:
@@ -1159,12 +1120,6 @@ def plan_joint_static(
 # Point / zoo drivers (mirror verify.verify_point's subjects, so the
 # differential harness can pair static and dynamic reports by subject)
 # ----------------------------------------------------------------------
-def _algos(network: Network, algo: str) -> AlgoConfig:
-    if algo == "m":
-        return AlgoConfig.memory_optimal(network)
-    return AlgoConfig.performance_optimal(network)
-
-
 def verify_point_static(
     network: Network,
     policy: str = "all",
@@ -1183,7 +1138,8 @@ def verify_point_static(
     if policy == "base":
         # Baseline allocates network-wide up front: there is no
         # schedule to prove, only the feasibility bound of §IV-A.
-        plan = compiled_plan(network, system, _algos(network, algo))
+        plan = compiled_plan(network, system,
+                             AlgoConfig.named(network, algo))
         report = Report(subject=subject)
         total = plan.baseline_breakdown["total"]
         if total > system.gpu.memory_bytes:
@@ -1208,14 +1164,8 @@ def verify_point_static(
             return Report(subject=f"{subject} (untrainable, skipped)")
         return verify_joint_plan(network, system, config, algos,
                                  subject=subject)
-    transfer = {
-        "all": TransferPolicy.vdnn_all,
-        "conv": TransferPolicy.vdnn_conv,
-        "comp": TransferPolicy.vdnn_comp,
-        "none": TransferPolicy.none,
-    }[policy]()
-    return verify_plan(network, system, transfer, _algos(network, algo),
-                       subject=subject)
+    return verify_plan(network, system, TransferPolicy.named(policy),
+                       AlgoConfig.named(network, algo), subject=subject)
 
 
 def verify_zoo_static(

@@ -96,8 +96,9 @@ def verify_point(
     system = system or PAPER_SYSTEM
     subject = f"{network.name} {policy}({algo})"
     if policy == "base":
-        algos = _algos(network, algo)
-        result = simulate_baseline(network, system, algos, verify=True)
+        result = simulate_baseline(network, system,
+                                   AlgoConfig.named(network, algo),
+                                   verify=True)
     elif policy == "dyn":
         subject = f"{network.name} dyn"
         try:
@@ -119,21 +120,9 @@ def verify_point(
         result = simulate_joint_config(network, system, jplan.config,
                                        jplan.algos, verify=True)
     else:
-        transfer = {
-            "all": TransferPolicy.vdnn_all,
-            "conv": TransferPolicy.vdnn_conv,
-            "comp": TransferPolicy.vdnn_comp,
-            "none": TransferPolicy.none,
-        }[policy]()
-        result = simulate_vdnn(network, system, transfer,
-                               _algos(network, algo), verify=True)
+        result = simulate_vdnn(network, system, TransferPolicy.named(policy),
+                               AlgoConfig.named(network, algo), verify=True)
     return verify_result(result, network=network, subject=subject)
-
-
-def _algos(network: Network, algo: str) -> AlgoConfig:
-    if algo == "m":
-        return AlgoConfig.memory_optimal(network)
-    return AlgoConfig.performance_optimal(network)
 
 
 # ----------------------------------------------------------------------

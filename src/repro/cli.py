@@ -282,10 +282,8 @@ def _cmd_train_demo(args) -> int:
     builder.pool()
     network = builder.fc(10).softmax().build()
 
-    policy = {"none": TransferPolicy.none,
-              "all": TransferPolicy.vdnn_all,
-              "conv": TransferPolicy.vdnn_conv}[args.policy]()
-    runtime = TrainingRuntime(network, policy, seed=0, learning_rate=0.02)
+    runtime = TrainingRuntime(network, TransferPolicy.named(args.policy),
+                              seed=0, learning_rate=0.02)
     for step in range(args.steps):
         images, labels = make_batch((args.batch, 3, 32, 32), 10, seed=step)
         result = runtime.train_step(images, labels)

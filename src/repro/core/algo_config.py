@@ -31,6 +31,15 @@ class AlgoConfig:
 
     # -- factories ------------------------------------------------------
     @classmethod
+    def named(cls, network: Network, label: str) -> "AlgoConfig":
+        """The ``(m)`` or ``(p)`` regime by its label."""
+        if label == "m":
+            return cls.memory_optimal(network)
+        if label == "p":
+            return cls.performance_optimal(network)
+        raise ValueError(f"algo must be one of ('m', 'p'), got {label!r}")
+
+    @classmethod
     def memory_optimal(cls, network: Network) -> "AlgoConfig":
         """Implicit GEMM everywhere — the paper's ``(m)`` regime."""
         config = cls(label="m")

@@ -43,14 +43,6 @@ _POLICIES = ("all", "conv", "comp", "dyn", "joint", "base", "none")
 _ALGOS = ("m", "p")
 
 
-def _algo_config(network: Network, algo: str) -> AlgoConfig:
-    if algo == "m":
-        return AlgoConfig.memory_optimal(network)
-    if algo == "p":
-        return AlgoConfig.performance_optimal(network)
-    raise ValueError(f"algo must be one of {_ALGOS}, got {algo!r}")
-
-
 def evaluate(
     network: Network,
     system: Optional[SystemConfig] = None,
@@ -91,8 +83,8 @@ def evaluate(
                     "transfers; fault injection applies to vDNN policies "
                     "(all, conv, dyn)")
             return simulate_baseline(
-                network, system, _algo_config(network, algo), verify=verify,
-                obs=obs)
+                network, system, AlgoConfig.named(network, algo),
+                verify=verify, obs=obs)
         if policy == "dyn":
             plan = plan_dynamic(network, system, use_cache=use_cache)
             result = simulate_vdnn(
@@ -119,14 +111,9 @@ def evaluate(
             result.policy_label = "vDNN_joint"
             result.algo_label = jplan.algos.label
             return result
-        transfer = {
-            "all": TransferPolicy.vdnn_all,
-            "conv": TransferPolicy.vdnn_conv,
-            "comp": TransferPolicy.vdnn_comp,
-            "none": TransferPolicy.none,
-        }[policy]()
         return simulate_vdnn(
-            network, system, transfer, _algo_config(network, algo),
+            network, system, TransferPolicy.named(policy),
+            AlgoConfig.named(network, algo),
             verify=verify, faults=faults, fault_seed=fault_seed, obs=obs)
     if policy == "dyn":
         return simulate_dynamic(network, system, use_cache=use_cache)
@@ -134,16 +121,11 @@ def evaluate(
         from .joint import simulate_joint
 
         return simulate_joint(network, system, use_cache=use_cache)
-    algos = _algo_config(network, algo)
+    algos = AlgoConfig.named(network, algo)
     if policy == "base":
         return cached_baseline(network, system, algos, use_cache=use_cache)
-    transfer = {
-        "all": TransferPolicy.vdnn_all,
-        "conv": TransferPolicy.vdnn_conv,
-        "comp": TransferPolicy.vdnn_comp,
-        "none": TransferPolicy.none,
-    }[policy]()
-    return cached_vdnn(network, system, transfer, algos, use_cache=use_cache)
+    return cached_vdnn(network, system, TransferPolicy.named(policy), algos,
+                       use_cache=use_cache)
 
 
 def oracular_baseline(

@@ -25,7 +25,7 @@ configurations still report the memory they would have needed (the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..alloc.pinned import PinnedHostAllocator, PinnedMemoryError
 from ..alloc.pool import Allocation, PoolAllocator
@@ -255,6 +255,13 @@ class _VDNNSimulation:
     :class:`~repro.core.plan.CompiledPlan` — the walk itself is a tight
     loop over plan steps that only tracks the *dynamic* state: stream
     clocks, pool occupancy, the prefetch flags and any injected faults.
+
+    Every policy runs this one walk (its static twin is
+    :class:`~repro.analysis.static_plan._PlanInterpreter`).  ``drops``
+    names the joint planner's RECOMPUTE triggers: they free their
+    candidates with no DMA, the INPUT batch then survives forward, and
+    a backward miss replays the producer chain.  Without drops, a
+    missing buffer fails as it always has.
     """
 
     def __init__(
@@ -270,6 +277,7 @@ class _VDNNSimulation:
         verify: bool = False,
         faults: Optional[FaultInjector] = None,
         obs: Optional[Instrumentation] = None,
+        drops: FrozenSet[int] = frozenset(),
     ):
         self.network = network
         self.system = system
@@ -323,6 +331,14 @@ class _VDNNSimulation:
         self.prefetch_bytes = 0
         self.external_bytes = 0
         self.offloaded_layers: List[int] = []
+
+        self.drops = drops
+        # Replays may need the input batch, so it survives forward
+        # whenever anything drops.
+        self._protected = plan.input_owners if drops else frozenset()
+        # Replayed storages dead after forward: discarded again at the
+        # end of the backward step that replayed them.
+        self._dead_resident: Set[int] = set()
 
     # -- bookkeeping helpers -------------------------------------------
     def _sample(self) -> None:
@@ -519,7 +535,10 @@ class _VDNNSimulation:
         # Release any input storage whose last consumer we are and that
         # is dead after forward: no transfer needed (the black-X arrows
         # of Figure 7).
+        protected = self._protected
         for rec in step.dead_releases:
+            if rec.owner in protected:
+                continue  # replays may need the input batch
             self._free(self.device.pop(rec.owner), layer=index, phase="fwd")
 
         # Offload the rest of the last-consumed inputs if the policy
@@ -533,6 +552,9 @@ class _VDNNSimulation:
     def _offload_inputs(self, step: ForwardStep, fwd_start: float,
                         fwd_op) -> None:
         index = step.index
+        if index in self.drops:
+            self._drop_inputs(step)
+            return
         compress = self.policy.compresses(index)
         completed: List[StorageRecord] = []
         for rec in step.offload_candidates:
@@ -614,6 +636,16 @@ class _VDNNSimulation:
                 self._free(self.device.pop(rec.owner),
                            layer=index, phase="fwd")
 
+    def _drop_inputs(self, step: ForwardStep) -> None:
+        """RECOMPUTE: discard the candidates now, replay them later.
+
+        The "drop" phase keeps the sanitizer's refcount gate (MS105),
+        which judges forward frees, away from checkpoint frees.
+        """
+        for rec in step.offload_candidates:
+            self._free(self.device.pop(rec.owner),
+                       layer=step.index, phase="drop")
+
     # -- backward pass ---------------------------------------------------
     def run_backward(self) -> None:
         start = self.compute.ready_time
@@ -631,6 +663,9 @@ class _VDNNSimulation:
 
     def _restore_on_demand(self, rec: StorageRecord, index: int) -> None:
         """Blocking prefetch for data the scheduler failed to stage."""
+        if self.drops and rec.owner not in self.host_buffers:
+            self._rematerialize(rec, index)
+            return
         wire = self.host_wire.get(rec.owner, rec.nbytes)
         wire_seconds = self.host_wire_seconds.get(
             rec.owner, rec.dma_seconds)
@@ -681,6 +716,52 @@ class _VDNNSimulation:
                     cause="demand-fetch")
         self.pinned.free(self.host_buffers.pop(rec.owner))
         self.restored[rec.owner] = True
+
+    def _rematerialize(self, rec: StorageRecord, index: int) -> None:
+        """Regenerate a dropped storage by replaying its producers."""
+        owner = rec.owner
+        info = rec.info
+        if not info.needed_backward:
+            # A dead intermediate the replay flows through.
+            self._dead_resident.add(owner)
+        for member in info.chain:
+            for producer in self.network[member].producers:
+                source = self.network[producer].storage_index
+                if source != owner and source not in self.device:
+                    self._restore_on_demand(self.plan.records[source], index)
+        self.device[owner] = self._alloc(
+            owner, rec.nbytes, f"Y[{rec.name}](re)",
+            buffer=rec.y_buf, layer=index, towner=owner,
+        )
+        for member in info.chain:
+            fstep = self.plan.forward_steps[member]
+            if fstep.is_input:
+                continue
+            workspace = None
+            if fstep.ws_bytes:
+                workspace = self._alloc(member, fstep.ws_bytes,
+                                        fstep.ws_tag,
+                                        buffer=fstep.ws_buf, layer=index)
+            start, end = self.compute.push(
+                _FORWARD, fstep.name + "(re)", fstep.seconds,
+                nbytes=fstep.dram_nbytes, layer_index=member,
+            )
+            if self.trace is not None:
+                self.trace.kernel(
+                    fstep.name + "(re)", self.compute.name,
+                    reads=fstep.trace_reads, writes=fstep.trace_writes,
+                    layer=member, phase="bwd", start=start, end=end,
+                )
+            if workspace is not None:
+                self._free(workspace, layer=index, phase="bwd")
+
+    def _flush_dead(self, index: int) -> None:
+        """Discard the dead intermediates this step's replays made."""
+        for owner in sorted(self._dead_resident):
+            allocation = self.device.pop(owner, None)
+            if allocation is not None:
+                self._free(allocation, layer=index, phase="bwd")
+        self._dead_resident.clear()
 
     def _backward_layer(self, step: BackwardStep) -> None:  # repro: hot
         index = step.index
@@ -815,6 +896,9 @@ class _VDNNSimulation:
         if workspace is not None:
             self._free(workspace, layer=index, phase="bwd")
 
+        if self._dead_resident:
+            self._flush_dead(index)
+
     def _release_remaining(self) -> None:
         """Free anything still live (e.g. the input batch's storage)."""
         for allocation in list(self.device.values()):
@@ -884,6 +968,17 @@ def simulate_vdnn(
         faults=injector,
         obs=obs,
     )
+    return _run_walk(sim, policy.describe())
+
+
+def _run_walk(sim: _VDNNSimulation, label: str) -> IterationResult:
+    """Walk one iteration and package it as an :class:`IterationResult`.
+
+    Shared by every entry point onto the vDNN walk (:func:`simulate_vdnn`
+    and :func:`~repro.core.joint.simulate_joint_config`); ``label`` is
+    the result's ``policy_label``.
+    """
+    network, system, obs = sim.network, sim.system, sim.obs
     failure: Optional[str] = None
     persistent = sim.allocate_persistent()
     try:
@@ -909,7 +1004,7 @@ def simulate_vdnn(
                          (sim.memory.name, sim.memory.busy_seconds)))
         obs.span("iteration", "phase", 0.0, sim.timeline.end_time,
                  category="phase", network=network.name,
-                 policy=policy.describe(), algo=algos.label)
+                 policy=label, algo=sim.algos.label)
 
     peak = sim.usage.max_bytes
     total_peak = peak + sim.external_bytes
@@ -921,8 +1016,8 @@ def simulate_vdnn(
     trainable = failure is None
     return IterationResult(
         network_name=network.name,
-        policy_label=policy.describe(),
-        algo_label=algos.label,
+        policy_label=label,
+        algo_label=sim.algos.label,
         trainable=trainable,
         failure=failure,
         timeline=sim.timeline,
@@ -933,7 +1028,7 @@ def simulate_vdnn(
         persistent_bytes=persistent,
         total_time=sim.timeline.span,
         feature_extraction_time=_feature_extraction_time(
-            network, sim.timeline, classifier=plan.classifier_indices),
+            network, sim.timeline, classifier=sim.plan.classifier_indices),
         offload_bytes=sim.offload_bytes,
         prefetch_bytes=sim.prefetch_bytes,
         pinned_peak_bytes=sim.pinned.peak_bytes,
@@ -941,5 +1036,5 @@ def simulate_vdnn(
         offload_raw_bytes=sim.offload_raw_bytes,
         offloaded_layers=sim.offloaded_layers,
         schedule_trace=sim.trace,
-        fault_report=injector.report if injector is not None else None,
+        fault_report=sim.faults.report if sim.faults is not None else None,
     )

@@ -141,10 +141,10 @@ class CompiledPlan:
     the per-policy trigger set comes from :meth:`offload_indices`.
     """
 
-    __slots__ = ("network_name", "forward", "backward", "persistent",
-                 "external_bytes", "persistent_bytes", "classifier_indices",
-                 "records", "baseline_breakdown", "drop_triggers",
-                 "_offload_sets")
+    __slots__ = ("network_name", "forward", "forward_steps", "backward",
+                 "persistent", "external_bytes", "persistent_bytes",
+                 "classifier_indices", "input_owners", "records",
+                 "baseline_breakdown", "drop_triggers", "_offload_sets")
 
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig):
@@ -189,6 +189,10 @@ class CompiledPlan:
         self.persistent_bytes = total
         self.classifier_indices = frozenset(
             n.index for n in network.classifier_nodes)
+        #: Storages of the INPUT batch: never recomputable, and kept
+        #: resident through forward whenever a joint plan drops anything.
+        self.input_owners = frozenset(
+            n.storage_index for n in network if n.kind is LayerKind.INPUT)
 
         # -- forward steps ---------------------------------------------
         forward: List[ForwardStep] = []
@@ -230,6 +234,8 @@ class CompiledPlan:
             step.trace_writes = tuple(writes)
             forward.append(step)
         self.forward = tuple(forward)
+        #: layer index -> its forward step (the replay lookup).
+        self.forward_steps = {step.index: step for step in forward}
 
         # -- backward steps --------------------------------------------
         # Gradient allocations and releases, bucketed by backward step in
@@ -341,7 +347,7 @@ class CompiledPlan:
             rec.owner for rec in self.records.values()
             if rec.info.needed_backward
             and network[rec.owner].is_feature_extraction
-            and network[rec.owner].kind is not LayerKind.INPUT)
+            and rec.owner not in self.input_owners)
 
     # -- invariant-relevant views (static verifier) --------------------
     # These flip the per-step schedules into per-storage maps so

@@ -67,6 +67,14 @@ class TransferPolicy:
         return cls(PolicyKind.COMP)
 
     @classmethod
+    def named(cls, name: str) -> "TransferPolicy":
+        """The fixed policy called ``name``: all, conv, comp or none."""
+        if name not in ("all", "conv", "comp", "none"):
+            raise ValueError(f"policy must be one of ('all', 'conv', "
+                             f"'comp', 'none'), got {name!r}")
+        return cls(PolicyKind(name))
+
+    @classmethod
     def custom(cls, offload_layers,
                compress_layers=()) -> "TransferPolicy":
         return cls(PolicyKind.CUSTOM, frozenset(offload_layers),

@@ -92,15 +92,11 @@ def point_key(point: SweepPoint) -> str:
     if point.policy == "hybrid":
         return core_cached.recompute_key(
             network, system, AlgoConfig.memory_optimal(network))
-    algos = (AlgoConfig.memory_optimal(network) if point.algo == "m"
-             else AlgoConfig.performance_optimal(network))
+    algos = AlgoConfig.named(network, point.algo)
     if point.policy == "base":
         return core_cached.baseline_key(network, system, algos)
-    policy = {"all": TransferPolicy.vdnn_all,
-              "conv": TransferPolicy.vdnn_conv,
-              "comp": TransferPolicy.vdnn_comp,
-              "none": TransferPolicy.none}[point.policy]()
-    return core_cached.vdnn_key(network, system, policy, algos)
+    return core_cached.vdnn_key(network, system,
+                                TransferPolicy.named(point.policy), algos)
 
 
 def _simulate_point(point: SweepPoint):

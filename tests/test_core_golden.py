@@ -22,17 +22,21 @@ import os
 
 import pytest
 
-from repro.core import evaluate
+from repro.core import AlgoConfig, evaluate, simulate_recompute
 from repro.hw import PAPER_SYSTEM
 from repro.zoo import build
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 #: The headline grid: networks x {baseline, vDNN_all(m), vDNN_dyn},
-#: plus the compressed-DMA policy and the joint planner.  Entries are
-#: (network, batch, policy, algo) with an optional fifth element: a GPU
-#: memory budget in GiB (joint fixtures run under tight budgets so the
-#: ladder actually mixes strategies instead of adopting keep-all).
+#: plus the compressed-DMA policy, the joint planner and sqrt(L)
+#: recompute.  Entries are (network, batch, policy, algo) with an
+#: optional fifth element: a GPU memory budget in GiB (joint fixtures
+#: run under tight budgets so the ladder actually mixes strategies
+#: instead of adopting keep-all).  ``recompute`` runs
+#: :func:`simulate_recompute` at its default segment count with the
+#: memory-optimal algorithms, the point the admission ladder and the
+#: sweep use.
 CONFIGS = {
     "core_alexnet_base": ("alexnet", 64, "base", "m"),
     "core_alexnet_all": ("alexnet", 64, "all", "m"),
@@ -49,6 +53,10 @@ CONFIGS = {
     "core_alexnet_joint": ("alexnet", 64, "joint", None),
     "core_googlenet_joint": ("googlenet", 128, "joint", None, 2.0),
     "core_resnet50_joint": ("resnet50", 32, "joint", None, 1.2),
+    "core_alexnet_recompute": ("alexnet", 64, "recompute", None),
+    "core_vgg16_recompute": ("vgg16", 64, "recompute", None),
+    "core_googlenet_recompute": ("googlenet", 64, "recompute", None),
+    "core_resnet50_recompute": ("resnet50", 32, "recompute", None),
 }
 
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN", "") not in ("", "0")
@@ -121,6 +129,9 @@ def _simulate(config):
     if len(config) > 4:
         system = system.with_gpu_memory(int(config[4] * (1 << 30)))
     network = build(name, batch)
+    if policy == "recompute":
+        return simulate_recompute(network, system,
+                                  AlgoConfig.memory_optimal(network))
     kwargs = {} if algo is None else {"algo": algo}
     return evaluate(network, system, policy=policy,
                     use_cache=False, **kwargs)

@@ -1,6 +1,6 @@
 """Differential & mutation wall for compressed DMA and the joint planner.
 
-Four layers of pinning, mirroring the repo's existing walls:
+Layers of pinning, mirroring the repo's existing walls:
 
 * **Bit-neutral instrumentation** — a ``comp`` or ``joint`` run with an
   :class:`repro.obs.Instrumentation` attached is byte-identical to the
@@ -12,9 +12,14 @@ Four layers of pinning, mirroring the repo's existing walls:
   configuration the simulating ladder adopts, and the abstract walk's
   accounting matches the simulator bit-for-bit on every metric the
   planner decides by.
-* **Drop validation** — a config that drops a trigger whose candidates
-  cannot be recomputed (the INPUT batch's consumer) is rejected with a
-  typed error instead of "rematerializing" garbage.
+* **Random-graph parity** — on random linear and DAG networks under
+  random decision vectors, algorithms and budgets, the simulator and
+  the abstract walk agree on the verdict and on every byte count, and
+  neither verifier reports an error.
+* **Config validation** — a config that drops a trigger whose
+  candidates cannot be recomputed (the INPUT batch's consumer) is
+  rejected with a typed error instead of "rematerializing" garbage,
+  and so is a config that gives one trigger two actions.
 * **Mutations** — surgically corrupting a known-good artifact (drop a
   rematerialization ALLOC from a traced schedule, overstate a record's
   compression ratio) makes the matching verifier rule fire; the wall
@@ -192,6 +197,51 @@ class TestStaticDynamicParity:
         assert not report.diagnostics
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(network=st.one_of(random_linear_network(),
+                             random_dag_network()),
+           memory_optimal=st.booleans(), fraction=st.floats(0.3, 1.3),
+           data=st.data())
+    def test_random_graphs_static_equals_dynamic(self, network,
+                                                 memory_optimal, fraction,
+                                                 data):
+        """Random keep/offload/comp/drop per trigger (drop only where
+        the plan allows it) under a budget around the keep-all usage:
+        the same verdict and byte counts on both sides, and neither the
+        dynamic sanitizer nor the static verifier reports an error."""
+        algos = AlgoConfig.memory_optimal(network) if memory_optimal \
+            else AlgoConfig.performance_optimal(network)
+        plan = compiled_plan(network, PAPER_SYSTEM, algos)
+        keep_all = interpret_joint_plan(network, PAPER_SYSTEM, plan,
+                                        JointConfig())
+        system = PAPER_SYSTEM.with_gpu_memory(
+            max(1, int(keep_all.max_usage_bytes * fraction)))
+        triggers, droppable = _trigger_sets(network, algos)
+        chosen = {"keep": set(), "offload": set(), "comp": set(),
+                  "drop": set()}
+        for trigger in sorted(triggers):
+            actions = ("keep", "offload", "comp", "drop") \
+                if trigger in droppable else ("keep", "offload", "comp")
+            chosen[data.draw(st.sampled_from(actions))].add(trigger)
+        config = JointConfig(offload=frozenset(chosen["offload"]),
+                             compress=frozenset(chosen["comp"]),
+                             drop=frozenset(chosen["drop"]))
+
+        result = simulate_joint_config(network, system, config, algos,
+                                       verify=True)
+        interp = interpret_joint_plan(
+            network, system, compiled_plan(network, system, algos), config)
+        assert (interp.trainable, interp.peak_bytes, interp.offload_bytes,
+                interp.prefetch_bytes, interp.pinned_peak_bytes) \
+            == (result.trainable, result.managed_max_bytes,
+                result.offload_bytes, result.prefetch_bytes,
+                result.pinned_peak_bytes)
+        dynamic = verify_result(result, network, subject="dynamic")
+        assert dynamic.ok, dynamic.render_text()
+        static = verify_joint_plan(network, system, config, algos)
+        assert static.ok, static.render_text()
+
+
 # ----------------------------------------------------------------------
 # Mutations: prove the checkers can lose
 # ----------------------------------------------------------------------
@@ -261,7 +311,7 @@ class TestMutations:
 
 
 # ----------------------------------------------------------------------
-# Drop validation: accepted => sound
+# Config validation: accepted => sound
 # ----------------------------------------------------------------------
 def _trigger_sets(network, algos):
     plan = compiled_plan(network, PAPER_SYSTEM, algos)
@@ -270,6 +320,15 @@ def _trigger_sets(network, algos):
 
 
 class TestDropValidation:
+    @pytest.mark.parametrize("first,second", [
+        ("offload", "compress"), ("offload", "drop"), ("compress", "drop")])
+    def test_overlapping_sets_are_rejected(self, first, second):
+        """One trigger, two actions: the modeled cost would charge both
+        while the walk runs only one, so the config is refused."""
+        with pytest.raises(ValueError, match="disjoint"):
+            JointConfig(**{first: frozenset({3, 5}),
+                           second: frozenset({5})})
+
     def test_dropping_the_input_consumer_is_rejected(self):
         network = build("alexnet", 8)
         algos = AlgoConfig.performance_optimal(network)

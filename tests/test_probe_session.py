@@ -19,8 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.static_plan import (
-    _JointInterpreter,
-    _PlanInterpreter,
     _ProbeSession,
     interpret_joint_plan,
     interpret_plan,
@@ -117,7 +115,7 @@ def test_each_flip_kind_resumes_exactly(name):
                          drop=dropped),
              JointConfig(offload=rest, drop=dropped | {last}),
              JointConfig(offload=rest, drop=dropped))
-    session = _ProbeSession(network, PAPER_SYSTEM, _JointInterpreter)
+    session = _ProbeSession(network, PAPER_SYSTEM)
     protecting = (JointConfig(offload=triggers),
                   JointConfig(offload=triggers - {last},
                               drop=frozenset({last})))
@@ -191,9 +189,8 @@ def test_resumed_probes_decide_like_fresh_walks(network, joint, fraction,
         host=HostSpec(memory_bytes=max(1, int(offloadable
                                               * pinned_fraction)),
                       max_pinned_fraction=1.0))
-    interpreter = _JointInterpreter if joint else _PlanInterpreter
     interpret = interpret_joint_plan if joint else interpret_plan
-    session = _ProbeSession(network, system, interpreter)
+    session = _ProbeSession(network, system)
 
     plan = compiled_plan(network, system, algos)
     chosen = _random_config(data.draw, plan, network, joint)

@@ -1209,8 +1209,10 @@ def verify_recompute_plan(
     Two layers of checks: the partition itself (checkpoints and dropped
     sets disjoint, covering exactly the droppable storages, in order),
     then an abstract regeneration walk — every dropped storage must be
-    reachable from still-resident state by replaying producers, exactly
-    the recursion :meth:`_RecomputeSimulation._ensure_storage` performs.
+    reachable from still-resident state by replaying producers, the
+    recursion the vDNN walk's rematerialization performs when
+    :func:`~repro.core.recompute.simulate_recompute` runs the plan
+    (:meth:`~repro.core.executor._VDNNSimulation._rematerialize`).
 
     ``keep_input=False`` models the ablation where the input batch does
     not survive forward propagation (the executor's input-protection

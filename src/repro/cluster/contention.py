@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.parallel import ring_allreduce_bytes
 from ..hw.interconnects import ClusterTopology
 from ..sched.admission import RungEval
 
@@ -66,10 +67,7 @@ class PlacedGang:
         through every directed edge of the gang's ring each iteration
         (reduce-scatter + all-gather, (n-1) chunks of ``W/n`` each way).
         """
-        n = len(self.gpus)
-        if n < 2:
-            return 0
-        return 2 * (n - 1) * self.weight_bytes // n
+        return ring_allreduce_bytes(len(self.gpus), self.weight_bytes)
 
 
 class FleetContention:

@@ -25,7 +25,7 @@ configurations still report the memory they would have needed (the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..alloc.pinned import PinnedHostAllocator, PinnedMemoryError
 from ..alloc.pool import Allocation, PoolAllocator
@@ -258,10 +258,14 @@ class _VDNNSimulation:
 
     Every policy runs this one walk (its static twin is
     :class:`~repro.analysis.static_plan._PlanInterpreter`).  ``drops``
-    names the joint planner's RECOMPUTE triggers: they free their
-    candidates with no DMA, the INPUT batch then survives forward, and
-    a backward miss replays the producer chain.  Without drops, a
-    missing buffer fails as it always has.
+    names the storage owners to discard at their last forward reader
+    with no DMA — the joint planner's RECOMPUTE triggers and a sqrt(L)
+    checkpoint plan's dropped storages both lower to it.  The INPUT
+    batch then survives forward, and a backward miss replays the
+    producer chain; with ``segments`` (a checkpoint plan's droppable
+    order) it replays the whole run of missing storages back to the
+    nearest resident one instead.  Without drops, a missing buffer
+    fails as it always has.
     """
 
     def __init__(
@@ -278,6 +282,7 @@ class _VDNNSimulation:
         faults: Optional[FaultInjector] = None,
         obs: Optional[Instrumentation] = None,
         drops: FrozenSet[int] = frozenset(),
+        segments: Tuple[int, ...] = (),
     ):
         self.network = network
         self.system = system
@@ -285,6 +290,12 @@ class _VDNNSimulation:
         self.algos = algos
         self.plan = plan
         self.wants = plan.offload_indices(policy, network)
+        # Forward steps that discard dropped owners: visited even when
+        # the policy offloads nothing there (e.g. an FC reader).
+        self._drop_sites = frozenset(
+            plan.records[owner].info.forward_release_at for owner in drops)
+        if drops:
+            self.wants = self.wants | self._drop_sites
         self.bounded_prefetch_window = bounded_prefetch_window
         self.sync_after_offload = sync_after_offload
         self.sync_after_prefetch = sync_after_prefetch
@@ -339,6 +350,10 @@ class _VDNNSimulation:
         # Replayed storages dead after forward: discarded again at the
         # end of the backward step that replayed them.
         self._dead_resident: Set[int] = set()
+        self._segments = segments
+        self._segment_pos = {owner: i for i, owner in enumerate(segments)}
+        # Forward kernel seconds spent replaying dropped storages.
+        self.replay_seconds = 0.0
 
     # -- bookkeeping helpers -------------------------------------------
     def _sample(self) -> None:
@@ -552,7 +567,7 @@ class _VDNNSimulation:
     def _offload_inputs(self, step: ForwardStep, fwd_start: float,
                         fwd_op) -> None:
         index = step.index
-        if index in self.drops:
+        if index in self._drop_sites:
             self._drop_inputs(step)
             return
         compress = self.policy.compresses(index)
@@ -637,14 +652,15 @@ class _VDNNSimulation:
                            layer=index, phase="fwd")
 
     def _drop_inputs(self, step: ForwardStep) -> None:
-        """RECOMPUTE: discard the candidates now, replay them later.
+        """RECOMPUTE: discard the dropped candidates now, replay later.
 
         The "drop" phase keeps the sanitizer's refcount gate (MS105),
         which judges forward frees, away from checkpoint frees.
         """
         for rec in step.offload_candidates:
-            self._free(self.device.pop(rec.owner),
-                       layer=step.index, phase="drop")
+            if rec.owner in self.drops:
+                self._free(self.device.pop(rec.owner),
+                           layer=step.index, phase="drop")
 
     # -- backward pass ---------------------------------------------------
     def run_backward(self) -> None:
@@ -718,22 +734,45 @@ class _VDNNSimulation:
         self.restored[rec.owner] = True
 
     def _rematerialize(self, rec: StorageRecord, index: int) -> None:
-        """Regenerate a dropped storage by replaying its producers."""
+        """Regenerate a dropped storage by replaying its producers.
+
+        With ``segments``, a storage in that order regenerates together
+        with every missing storage before it back to the nearest
+        resident one: the checkpointed segment it belongs to.
+        """
+        records = self.plan.records
+        position = self._segment_pos.get(rec.owner)
+        if position is None:
+            run = (rec,)
+            if not rec.info.needed_backward:
+                # A dead intermediate the replay flows through.
+                self._dead_resident.add(rec.owner)
+        else:
+            start = position
+            while start > 0 and \
+                    self._segments[start - 1] not in self.device:
+                start -= 1
+            run = tuple(records[owner]
+                        for owner in self._segments[start:position + 1])
+        members = {member.owner for member in run}
+        for member in run:
+            for layer in member.info.chain:
+                for producer in self.network[layer].producers:
+                    source = self.network[producer].storage_index
+                    if source not in members and source not in self.device:
+                        self._restore_on_demand(records[source], index)
+        for member in run:
+            if member.owner not in self.device:
+                self._replay(member, index)
+
+    def _replay(self, rec: StorageRecord, index: int) -> None:
+        """Allocate one storage and re-run its chain's forward kernels."""
         owner = rec.owner
-        info = rec.info
-        if not info.needed_backward:
-            # A dead intermediate the replay flows through.
-            self._dead_resident.add(owner)
-        for member in info.chain:
-            for producer in self.network[member].producers:
-                source = self.network[producer].storage_index
-                if source != owner and source not in self.device:
-                    self._restore_on_demand(self.plan.records[source], index)
         self.device[owner] = self._alloc(
             owner, rec.nbytes, f"Y[{rec.name}](re)",
             buffer=rec.y_buf, layer=index, towner=owner,
         )
-        for member in info.chain:
+        for member in rec.info.chain:
             fstep = self.plan.forward_steps[member]
             if fstep.is_input:
                 continue
@@ -746,6 +785,7 @@ class _VDNNSimulation:
                 _FORWARD, fstep.name + "(re)", fstep.seconds,
                 nbytes=fstep.dram_nbytes, layer_index=member,
             )
+            self.replay_seconds += fstep.seconds
             if self.trace is not None:
                 self.trace.kernel(
                     fstep.name + "(re)", self.compute.name,
@@ -756,8 +796,12 @@ class _VDNNSimulation:
                 self._free(workspace, layer=index, phase="bwd")
 
     def _flush_dead(self, index: int) -> None:
-        """Discard the dead intermediates this step's replays made."""
-        for owner in sorted(self._dead_resident):
+        """Discard the dead intermediates this step's replays made.
+
+        Set order, not sorted: free order shapes the same-instant usage
+        samples, and the recompute goldens pin this order.
+        """
+        for owner in self._dead_resident:
             allocation = self.device.pop(owner, None)
             if allocation is not None:
                 self._free(allocation, layer=index, phase="bwd")
@@ -974,9 +1018,10 @@ def simulate_vdnn(
 def _run_walk(sim: _VDNNSimulation, label: str) -> IterationResult:
     """Walk one iteration and package it as an :class:`IterationResult`.
 
-    Shared by every entry point onto the vDNN walk (:func:`simulate_vdnn`
-    and :func:`~repro.core.joint.simulate_joint_config`); ``label`` is
-    the result's ``policy_label``.
+    Shared by every entry point onto the vDNN walk (:func:`simulate_vdnn`,
+    :func:`~repro.core.joint.simulate_joint_config` and
+    :func:`~repro.core.recompute.simulate_recompute`); ``label`` is the
+    result's ``policy_label``.
     """
     network, system, obs = sim.network, sim.system, sim.obs
     failure: Optional[str] = None

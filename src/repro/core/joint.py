@@ -10,9 +10,10 @@ module decides among all four choices **per trigger layer** under one
 deterministic plan-derived cost model.  There is no joint simulator:
 a config lowers to a transfer policy plus a set of drop triggers, and
 :func:`simulate_joint_config` runs it on the one vDNN walk
-(:class:`~repro.core.executor._VDNNSimulation`), whose static twin
-(:class:`~repro.analysis.static_plan._PlanInterpreter`) takes the same
-drop set.
+(:class:`~repro.core.executor._VDNNSimulation`), dropping the triggers'
+candidate owners; the walk's static twin
+(:class:`~repro.analysis.static_plan._PlanInterpreter`) takes the drop
+triggers themselves.
 
 Structure mirrors :mod:`repro.core.dynamic`: a probe-abstracted ladder
 (:func:`run_joint_ladder`) whose adoption depends only on trainability
@@ -67,8 +68,8 @@ class JointConfig:
     two actions); every other trigger keeps its candidates resident
     (KEEP).  ``policy()`` lowers the config to the executor's
     :class:`~repro.core.policy.TransferPolicy`: drop triggers ride the
-    offload wants-set so the forward walk visits them, and the walk's
-    ``drops`` set intercepts them before any DMA.
+    offload wants-set, and the walk's ``drops`` set (their candidates'
+    owners) intercepts them before any DMA.
     """
 
     offload: FrozenSet[int] = field(default_factory=frozenset)
@@ -345,14 +346,18 @@ def simulate_joint_config(
     """
     plan = compiled_plan(network, system, algos)
     triggers = plan.offload_indices(TransferPolicy.vdnn_all(), network)
-    undroppable = (config.drop & triggers) - plan.drop_triggers
+    dropped = config.drop & triggers
+    undroppable = dropped - plan.drop_triggers
     if undroppable:
         raise UndroppableTriggerError(
             f"{network.name}: {config.describe()} drops triggers "
             f"{sorted(undroppable)} whose offload candidates are not all "
             f"recomputable feature maps")
+    # The walk drops storage owners: every candidate of a drop trigger.
+    drops = frozenset(rec.owner for trigger in dropped
+                      for rec in plan.forward_steps[trigger].offload_candidates)
     sim = _VDNNSimulation(network, system, config.policy(), algos, plan,
-                          verify=verify, obs=obs, drops=config.drop)
+                          verify=verify, obs=obs, drops=drops)
     return _run_walk(sim, config.describe())
 
 

@@ -10,8 +10,10 @@ PCIe fabric, and end-to-end images/second.
 
 Model: synchronous data parallelism with a ring all-reduce of all weight
 gradients after backward propagation.  Ring all-reduce moves
-``2 * (N-1)/N * weight_bytes`` through each GPU's link; with every GPU
-behind the same PCIe switch the transfers serialize per link, giving
+``2 * (N-1)/N * weight_bytes`` through each GPU's link
+(:func:`ring_allreduce_bytes`, shared with the cluster layer's
+per-edge traffic); with every GPU behind the same PCIe switch the
+transfers serialize per link, giving
 ``allreduce_time = 2 * (N-1)/N * weight_bytes / dma_bandwidth``.
 Compute does not overlap the all-reduce (the paper-era frameworks did
 not overlap either).
@@ -25,6 +27,15 @@ from ..graph.network import Network
 from ..hw.config import SystemConfig
 from .algo_config import AlgoConfig
 from .executor import IterationResult, simulate_baseline
+
+
+def ring_allreduce_bytes(num_gpus: int, weight_bytes: int) -> int:
+    """Bytes a ring all-reduce of ``weight_bytes`` moves per directed
+    ring edge: ``2*(n-1)/n * W`` (reduce-scatter + all-gather, (n-1)
+    chunks of ``W/n`` each way), 0 for a single GPU."""
+    if num_gpus < 2:
+        return 0
+    return 2 * (num_gpus - 1) * weight_bytes // num_gpus
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,7 @@ def simulate_data_parallel(
 
     The network's own batch size is the *global* batch; it must divide
     evenly by the GPU count (as in the paper's 4x VGG-16 (64) setup).
+    ``algo`` is ``"m"`` or ``"p"`` (``ValueError`` otherwise).
     """
     if num_gpus < 1:
         raise ValueError("need at least one GPU")
@@ -77,16 +89,13 @@ def simulate_data_parallel(
         )
     per_gpu_batch = global_batch // num_gpus
     replica = network.with_batch_size(per_gpu_batch)
-    algos = (AlgoConfig.performance_optimal(replica) if algo == "p"
-             else AlgoConfig.memory_optimal(replica))
+    algos = AlgoConfig.named(replica, algo)
     result: IterationResult = simulate_baseline(replica, system, algos)
 
-    weight_bytes = network.total_weight_bytes()
-    if num_gpus == 1:
-        allreduce = 0.0
-    else:
-        volume = 2 * (num_gpus - 1) / num_gpus * weight_bytes
-        allreduce = system.pcie.dma_time(int(volume))
+    allreduce = 0.0
+    if num_gpus > 1:
+        allreduce = system.pcie.dma_time(ring_allreduce_bytes(
+            num_gpus, network.total_weight_bytes()))
 
     return DataParallelReport(
         network_name=network.name,
@@ -116,8 +125,7 @@ def min_gpus_for_baseline(
         if report.per_gpu_trainable:
             return num_gpus
     tiny = network.with_batch_size(1)
-    algos = (AlgoConfig.performance_optimal(tiny) if algo == "p"
-             else AlgoConfig.memory_optimal(tiny))
-    if not simulate_baseline(tiny, system, algos).trainable:
+    if not simulate_baseline(tiny, system,
+                             AlgoConfig.named(tiny, algo)).trainable:
         return 0
     return max_gpus

@@ -7,31 +7,29 @@ feature maps after forward propagation and recomputing them from sparse
 checkpoints during backward propagation — trading an extra forward pass
 for capacity instead of PCIe bandwidth.
 
-:func:`simulate_recompute` runs one training iteration under sqrt(L)
-checkpointing on the same pool/latency substrate as the vDNN executor,
-so `benchmarks/bench_ext_recompute.py` can compare the two fairly:
-memory floor, time overhead, and where each wins.
+A checkpoint plan is one more decision on the vDNN walk
+(:class:`~repro.core.executor._VDNNSimulation`), not a second
+simulator: :func:`simulate_recompute` hands the walk the plan's dropped
+storages and its droppable order, so sqrt(L) checkpointing runs on the
+same plan, pool and latency substrate as every offload policy and
+`benchmarks/bench_ext_recompute.py` compares the two fairly: memory
+floor, time overhead, and where each wins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
-from ..alloc.pool import Allocation, PoolAllocator
-from ..alloc.stats import UsageTracker
 from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..kernels.latency import LatencyModel
-from ..sim.stream import make_stream_pair
-from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
-from .executor import IterationResult, _feature_extraction_time
-from .liveness import LivenessAnalysis, StorageInfo
-
-_UNBOUNDED = 1 << 50
+from .executor import IterationResult, _run_walk, _VDNNSimulation
+from .liveness import LivenessAnalysis
+from .plan import compiled_plan
+from .policy import TransferPolicy
 
 
 @dataclass(frozen=True)
@@ -41,14 +39,27 @@ class CheckpointPlan:
     A pure partition of the droppable feature-extraction storages —
     every droppable owner is a checkpoint or dropped, never both —
     plus the droppable order the segment walk-back follows.  Built by
-    :func:`checkpoint_plan`; consumed by :class:`_RecomputeSimulation`
-    and audited statically by
-    :func:`repro.analysis.static_plan.verify_recompute_plan` (SP405).
+    :func:`checkpoint_plan`; :func:`simulate_recompute` runs it on the
+    vDNN walk (``dropped`` as its drop set, ``droppable_order`` as its
+    segments), and :func:`repro.analysis.static_plan.verify_recompute_plan`
+    audits it statically (SP405).
     """
 
     checkpoints: FrozenSet[int]
     dropped: FrozenSet[int]
     droppable_order: Tuple[int, ...]
+
+
+def _droppable_order(network: Network,
+                     liveness: LivenessAnalysis) -> List[int]:
+    """Owners of the storages a plan may drop, ascending: needed
+    backward, produced by a feature-extraction layer, not the INPUT
+    batch (inputs cannot be recomputed from anything)."""
+    return sorted(
+        s.owner for s in liveness.all_storages()
+        if s.needed_backward
+        and network[s.owner].is_feature_extraction
+        and network[s.owner].kind is not LayerKind.INPUT)
 
 
 def checkpoint_plan(network: Network, liveness: LivenessAnalysis,
@@ -58,234 +69,28 @@ def checkpoint_plan(network: Network, liveness: LivenessAnalysis,
     Orders the droppable feature-extraction storages (needed backward,
     not the INPUT batch) by owner and keeps every segment boundary:
     ``segment_count`` segments when given, else ``isqrt(count)``.
+    Raises ``ValueError`` for a ``segment_count`` below 1.
     """
-    droppable = [
-        s for s in liveness.all_storages()
-        if s.needed_backward
-        and network[s.owner].is_feature_extraction
-        and network[s.owner].kind is not LayerKind.INPUT
-    ]
-    droppable.sort(key=lambda s: s.owner)
-    count = len(droppable)
+    if segment_count is not None and segment_count < 1:
+        raise ValueError(
+            f"segment_count must be at least 1, got {segment_count}")
+    order = _droppable_order(network, liveness)
+    count = len(order)
     segments = segment_count or max(1, math.isqrt(count))
     stride = max(1, math.ceil(count / segments))
-    checkpoints = frozenset(
-        s.owner for i, s in enumerate(droppable) if i % stride == 0)
+    checkpoints = frozenset(order[::stride])
     return CheckpointPlan(
         checkpoints=checkpoints,
-        dropped=frozenset(
-            s.owner for s in droppable if s.owner not in checkpoints),
-        droppable_order=tuple(s.owner for s in droppable),
+        dropped=frozenset(order) - checkpoints,
+        droppable_order=tuple(order),
     )
-
-
-class _RecomputeSimulation:
-    """One iteration under checkpoint/recompute memory management."""
-
-    def __init__(self, network: Network, system: SystemConfig,
-                 algos: AlgoConfig, segment_count: Optional[int]):
-        self.network = network
-        self.system = system
-        self.algos = algos
-        self.latency = LatencyModel(system.gpu)
-        self.liveness = LivenessAnalysis(network)
-        self.pool = PoolAllocator(_UNBOUNDED)
-        self.compute, _memory, self.timeline = make_stream_pair()
-        self.usage = UsageTracker()
-        self.device: Dict[int, Allocation] = {}
-        self.gradients: Dict[int, Allocation] = {}
-        self.recompute_kernel_seconds = 0.0
-        self._dead_resident: Set[int] = set()
-
-        plan = checkpoint_plan(network, self.liveness, segment_count)
-        self.checkpoints = plan.checkpoints
-        self.dropped = plan.dropped
-        # Map each storage to the checkpointed segment that regenerates
-        # it: the contiguous run of dropped owners after a checkpoint.
-        self._droppable_order = plan.droppable_order
-
-    # -- helpers --------------------------------------------------------
-    def _sample(self) -> None:
-        self.usage.record(self.compute.ready_time, self.pool.live_bytes)
-
-    def _alloc(self, owner: int, nbytes: int, tag: str) -> Allocation:
-        allocation = self.pool.alloc(nbytes, tag)
-        self._sample()
-        return allocation
-
-    def _free(self, allocation: Allocation) -> None:
-        self.pool.free(allocation)
-        self._sample()
-
-    def _forward_kernel(self, index: int, recompute: bool = False) -> None:
-        node = self.network[index]
-        timing = self.latency.forward(self.network, node,
-                                      self.algos.profile(node))
-        label = node.name + ("(re)" if recompute else "")
-        self.compute.enqueue(EventKind.FORWARD, label, timing.seconds,
-                             nbytes=int(timing.dram_bytes), layer_index=index)
-        if recompute:
-            self.recompute_kernel_seconds += timing.seconds
-
-    # -- persistent -----------------------------------------------------
-    def allocate_persistent(self) -> int:
-        persistent = 0
-        self.external_bytes = 0
-        for node in self.network:
-            if not node.weight_bytes:
-                continue
-            if node.is_feature_extraction:
-                self._alloc(node.index, node.weight_bytes, f"W[{node.name}]")
-                self._alloc(node.index, node.weight_bytes, f"dW[{node.name}]")
-            else:
-                self.external_bytes += 2 * node.weight_bytes
-            persistent += 2 * node.weight_bytes
-        return persistent
-
-    # -- forward --------------------------------------------------------
-    def run_forward(self) -> None:
-        for index in self.network.forward_schedule():
-            node = self.network[index]
-            if not node.in_place:
-                storage = self.liveness.storage_of(index)
-                self.device[storage.owner] = self._alloc(
-                    storage.owner, storage.nbytes, f"Y[{node.name}]"
-                )
-            if node.kind is not LayerKind.INPUT:
-                workspace = self._maybe_workspace(node)
-                self._forward_kernel(index)
-                if workspace is not None:
-                    self._free(workspace)
-            for storage in self.liveness.input_storages(index):
-                if storage.forward_release_at != index:
-                    continue
-                if storage.owner == 0 and self.dropped:
-                    continue  # replays may need the input batch
-                if not storage.needed_backward or storage.owner in self.dropped:
-                    self._free(self.device.pop(storage.owner))
-
-    def _maybe_workspace(self, node) -> Optional[Allocation]:
-        ws_bytes = self.algos.workspace_bytes(node)
-        if ws_bytes:
-            return self._alloc(node.index, ws_bytes, f"WS[{node.name}]")
-        return None
-
-    # -- recompute ------------------------------------------------------
-    def _ensure_storage(self, owner: int) -> None:
-        """Regenerate a dropped storage (and its segment) on demand."""
-        if owner in self.device:
-            return
-        if owner in self._droppable_order:
-            # The segment: walk back to the nearest materialized storage
-            # in droppable order, then replay forward kernels to `owner`.
-            position = self._droppable_order.index(owner)
-            start = position
-            while start > 0 and \
-                    self._droppable_order[start - 1] not in self.device:
-                start -= 1
-            to_rebuild = self._droppable_order[start:position + 1]
-        else:
-            # A dead intermediate the replay flows through (e.g. a BN
-            # output feeding only an ADD): regenerate just its chain and
-            # remember to discard it after the current backward step.
-            to_rebuild = [owner]
-            self._dead_resident.add(owner)
-
-        # Inputs feeding the rebuild range but produced outside it must
-        # themselves be live (recurse; terminates at checkpoints/input).
-        rebuild_set = set(to_rebuild)
-        for owner_index in to_rebuild:
-            storage = self.liveness.storages[owner_index]
-            for member in storage.chain:
-                for producer in self.network[member].producers:
-                    source = self.network[producer].storage_index
-                    if source not in rebuild_set and source not in self.device:
-                        self._ensure_storage(source)
-
-        for owner_index in to_rebuild:
-            if owner_index in self.device:
-                continue  # regenerated by a recursive ensure above
-            storage = self.liveness.storages[owner_index]
-            self.device[owner_index] = self._alloc(
-                owner_index, storage.nbytes,
-                f"Y[{self.network[owner_index].name}](re)"
-            )
-            for member in storage.chain:
-                node = self.network[member]
-                if node.kind is LayerKind.INPUT:
-                    continue
-                workspace = self._maybe_workspace(node)
-                self._forward_kernel(member, recompute=True)
-                if workspace is not None:
-                    self._free(workspace)
-
-    # -- backward -------------------------------------------------------
-    def run_backward(self) -> None:
-        for index in self.network.backward_schedule():
-            node = self.network[index]
-
-            required: List[StorageInfo] = []
-            if node.layer.backward_needs_x:
-                required.extend(self.liveness.input_storages(index))
-            if node.layer.backward_needs_y:
-                required.append(self.liveness.storage_of(index))
-            for storage in required:
-                self._ensure_storage(storage.owner)
-
-            for storage in self.liveness.all_storages():
-                if storage.needs_gradient and \
-                        storage.gradient_alloc_at == index and \
-                        storage.owner not in self.gradients:
-                    self.gradients[storage.owner] = self._alloc(
-                        storage.owner, storage.nbytes, f"dY[{storage.owner}]"
-                    )
-
-            workspace = self._maybe_workspace(node)
-            timing = self.latency.backward(self.network, node,
-                                           self.algos.profile(node))
-            self.compute.enqueue(EventKind.BACKWARD, node.name, timing.seconds,
-                                 nbytes=int(timing.dram_bytes),
-                                 layer_index=index)
-
-            for storage in self.liveness.all_storages():
-                if storage.needed_backward and \
-                        storage.backward_release_after == index:
-                    allocation = self.device.pop(storage.owner, None)
-                    if allocation is not None:
-                        self._free(allocation)
-                if storage.needs_gradient and \
-                        storage.gradient_release_after == index:
-                    allocation = self.gradients.pop(storage.owner, None)
-                    if allocation is not None:
-                        self._free(allocation)
-            if workspace is not None:
-                self._free(workspace)
-
-            # Regenerated dead intermediates served this step's replay;
-            # drop them rather than let them camp in memory.
-            for owner in self._dead_resident:
-                allocation = self.device.pop(owner, None)
-                if allocation is not None:
-                    self._free(allocation)
-            self._dead_resident.clear()
-
-        for allocation in list(self.device.values()):
-            self._free(allocation)
-        self.device.clear()
-        for allocation in list(self.gradients.values()):
-            self._free(allocation)
-        self.gradients.clear()
 
 
 def droppable_count(network: Network,
                     liveness: Optional[LivenessAnalysis] = None) -> int:
     """How many storages a checkpoint plan may drop (Chen et al.'s L)."""
-    liveness = liveness or LivenessAnalysis(network)
-    return sum(
-        1 for s in liveness.all_storages()
-        if s.needed_backward
-        and network[s.owner].is_feature_extraction
-        and network[s.owner].kind is not LayerKind.INPUT)
+    return len(_droppable_order(network,
+                                liveness or LivenessAnalysis(network)))
 
 
 @dataclass(frozen=True)
@@ -368,38 +173,20 @@ def simulate_recompute(
 ) -> IterationResult:
     """One training iteration under sqrt(L) gradient checkpointing.
 
-    Returns an :class:`IterationResult` comparable with the vDNN and
-    baseline executors (``policy_label`` is ``"recompute"``;
-    ``offload_bytes`` is zero — nothing crosses PCIe).
+    Runs on the vDNN walk with nothing offloaded: the checkpoint plan's
+    dropped storages are freed at their last forward reader, and a
+    backward miss replays its segment from the nearest resident
+    storage.  Returns an :class:`IterationResult` comparable with the
+    vDNN and baseline executors (``policy_label`` is ``"recompute"``;
+    ``offload_bytes`` is zero — nothing crosses PCIe;
+    ``compute_stall_seconds`` is the replayed forward kernel time).
     """
-    sim = _RecomputeSimulation(network, system, algos, segment_count)
-    persistent = sim.allocate_persistent()
-    sim.run_forward()
-    sim.run_backward()
-    sim.usage.record(sim.timeline.end_time, sim.pool.live_bytes)
-
-    peak = sim.usage.max_bytes
-    total_peak = peak + sim.external_bytes
-    trainable = total_peak <= system.gpu.memory_bytes
-    return IterationResult(
-        network_name=network.name,
-        policy_label="recompute",
-        algo_label=algos.label,
-        trainable=trainable,
-        failure=None if trainable else (
-            f"peak usage {total_peak} bytes exceeds GPU capacity "
-            f"{system.gpu.memory_bytes} bytes"
-        ),
-        timeline=sim.timeline,
-        usage=sim.usage,
-        managed_max_bytes=peak,
-        managed_avg_bytes=sim.usage.average_bytes,
-        external_bytes=sim.external_bytes,
-        persistent_bytes=persistent,
-        total_time=sim.timeline.span,
-        feature_extraction_time=_feature_extraction_time(network, sim.timeline),
-        offload_bytes=0,
-        prefetch_bytes=0,
-        pinned_peak_bytes=0,
-        compute_stall_seconds=sim.recompute_kernel_seconds,
-    )
+    plan = compiled_plan(network, system, algos)
+    checkpoints = checkpoint_plan(network, LivenessAnalysis(network),
+                                  segment_count)
+    sim = _VDNNSimulation(network, system, TransferPolicy.none(), algos,
+                          plan, drops=checkpoints.dropped,
+                          segments=checkpoints.droppable_order)
+    result = _run_walk(sim, "recompute")
+    result.compute_stall_seconds = sim.replay_seconds
+    return result

@@ -18,6 +18,13 @@ from repro.core import (
     simulate_recompute,
     simulate_vdnn,
 )
+from repro.analysis.verify import verify_result
+from repro.cluster.contention import PlacedGang
+from repro.core.executor import _VDNNSimulation, _run_walk
+from repro.core.liveness import LivenessAnalysis
+from repro.core.parallel import ring_allreduce_bytes
+from repro.core.plan import compiled_plan
+from repro.core.recompute import checkpoint_plan
 from repro.graph import gb
 from repro.hw import (
     NVLINK_1,
@@ -29,6 +36,7 @@ from repro.hw import (
     interconnect_sweep,
     system_with_link,
 )
+from repro.sched.admission import RungEval
 from repro.zoo import build
 
 from conftest import make_deep_cnn, make_fork_join_cnn, make_linear_cnn
@@ -148,6 +156,34 @@ class TestRecompute:
         assert final_live >= persistent
         assert final_live < persistent + 4096 * len(deep_cnn.nodes)
 
+    @pytest.mark.parametrize("segments", [0, -3])
+    def test_out_of_range_segment_count_rejected(self, segments):
+        net = build("vgg16", 64)
+        with pytest.raises(ValueError, match="segment_count"):
+            simulate_recompute(net, PAPER_SYSTEM,
+                               AlgoConfig.memory_optimal(net),
+                               segment_count=segments)
+
+    @pytest.mark.parametrize("name", ["alexnet", "googlenet", "resnet50"])
+    @pytest.mark.parametrize("algo", ["m", "p"])
+    def test_schedule_verifies_clean(self, name, algo):
+        """A traced recompute walk passes the sanitizer, and tracing
+        leaves the result equal to the untraced one."""
+        net = build(name, 32)
+        algos = AlgoConfig.named(net, algo)
+        checkpoints = checkpoint_plan(net, LivenessAnalysis(net))
+        sim = _VDNNSimulation(
+            net, PAPER_SYSTEM, TransferPolicy.none(), algos,
+            compiled_plan(net, PAPER_SYSTEM, algos), verify=True,
+            drops=checkpoints.dropped,
+            segments=checkpoints.droppable_order)
+        traced = _run_walk(sim, "recompute")
+        traced.compute_stall_seconds = sim.replay_seconds
+        assert checkpoints.dropped
+        report = verify_result(traced, net, subject=f"{name} recompute")
+        assert report.ok, report.render_text()
+        assert traced == simulate_recompute(net, PAPER_SYSTEM, algos)
+
 
 class TestDataParallel:
     def test_paper_4x_vgg_story(self):
@@ -177,6 +213,26 @@ class TestDataParallel:
     def test_min_gpus(self):
         assert min_gpus_for_baseline(build("vgg16", 256), PAPER_SYSTEM) == 4
         assert min_gpus_for_baseline(build("alexnet", 128), PAPER_SYSTEM) == 1
+
+    def test_unknown_algo_rejected(self):
+        net = build("alexnet", 128)
+        with pytest.raises(ValueError, match="algo"):
+            simulate_data_parallel(net, 2, PAPER_SYSTEM, algo="fast")
+        with pytest.raises(ValueError, match="algo"):
+            min_gpus_for_baseline(net, PAPER_SYSTEM, algo="M", max_gpus=1)
+
+    @pytest.mark.parametrize("num_gpus", [1, 2, 3, 4, 7, 16])
+    def test_allreduce_volume_shared_with_cluster(self, num_gpus):
+        weight_bytes = build("vgg16", 64).total_weight_bytes()
+        volume = ring_allreduce_bytes(num_gpus, weight_bytes)
+        rung = RungEval(rung="all(m)", footprint_bytes=0, iter_seconds=1.0,
+                        compute_seconds=1.0, pcie_seconds=0.0, pcie_bytes=0)
+        gang = PlacedGang("j", tuple(range(num_gpus)), rung,
+                          weight_bytes=weight_bytes)
+        assert gang.ring_hop_bytes == volume
+        expected = 0 if num_gpus == 1 else \
+            int(2 * (num_gpus - 1) / num_gpus * weight_bytes)
+        assert volume == expected
 
 
 class TestInterconnects:

@@ -58,7 +58,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..alloc.pool import ALIGNMENT, _align
 from ..core.algo_config import AlgoConfig
-from ..core.dynamic import run_profiling_ladder
+from ..core.dynamic import PLANNED_POLICIES, UntrainableError, lower, \
+    run_profiling_ladder
 from ..core.liveness import LivenessAnalysis
 from ..core.plan import CompiledPlan, StorageRecord, compiled_plan
 from ..core.policy import PolicyKind, TransferPolicy
@@ -645,12 +646,14 @@ def interpret_plan(
 ) -> PlanInterpretation:
     """Abstractly execute one (plan, policy) point; no simulation runs.
 
+    ``policy`` may be a joint config (see :func:`repro.core.dynamic.lower`).
     Diagnostics (SP402/SP403/SP404 walk findings) land in ``report``
     when one is given; ``flagged`` owners — already reported by
     :func:`audit_plan` — are skipped so one defect never reports twice.
     """
+    transfer, drops = lower(policy)
     return _PlanInterpreter(
-        network, system, plan, policy,
+        network, system, plan, transfer, drops=drops,
         bounded_prefetch_window=bounded_prefetch_window,
         sync_after_offload=sync_after_offload,
         sync_after_prefetch=sync_after_prefetch,
@@ -669,10 +672,8 @@ def interpret_joint_plan(
     subject: str = "",
 ) -> PlanInterpretation:
     """Abstractly execute one (plan, joint config) point."""
-    return _PlanInterpreter(
-        network, system, plan, config.policy(), drops=config.drop,
-        report=report, flagged=flagged, subject=subject,
-    ).run()
+    return interpret_plan(network, system, plan, config, report=report,
+                          flagged=flagged, subject=subject)
 
 
 # ----------------------------------------------------------------------
@@ -854,21 +855,6 @@ def audit_compression(network: Network, system: SystemConfig,
 # ----------------------------------------------------------------------
 # Entry points for training plans
 # ----------------------------------------------------------------------
-def _sp401(report: Report, interp: PlanInterpretation) -> Report:
-    """The SP401 tail every training-plan verifier ends with."""
-    if interp.aborted is not None:
-        report.add("SP401",
-                   f"plan aborts before completing: {interp.aborted}",
-                   refs=("pinned-host budget",))
-    elif interp.first_over_budget is not None:
-        report.add("SP401",
-                   f"statically computed peak {interp.max_usage_bytes} "
-                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
-                   f"bytes; first over-budget allocation: "
-                   f"{interp.first_over_budget}")
-    return report
-
-
 def verify_compiled_plan(
     network: Network,
     system: SystemConfig,
@@ -891,7 +877,17 @@ def verify_compiled_plan(
         sync_after_offload=sync_after_offload,
         sync_after_prefetch=sync_after_prefetch,
         report=report, flagged=flagged, subject=report.subject)
-    return _sp401(report, interp)
+    if interp.aborted is not None:
+        report.add("SP401",
+                   f"plan aborts before completing: {interp.aborted}",
+                   refs=("pinned-host budget",))
+    elif interp.first_over_budget is not None:
+        report.add("SP401",
+                   f"statically computed peak {interp.max_usage_bytes} "
+                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
+                   f"bytes; first over-budget allocation: "
+                   f"{interp.first_over_budget}")
+    return report
 
 
 def verify_plan(
@@ -924,22 +920,14 @@ def verify_joint_plan(
 ) -> Report:
     """Prove the SP4xx rules for one joint configuration.
 
-    Same ledger as :func:`verify_compiled_plan` (structural audit,
-    SP407 compression consistency, the abstract walk, the SP401 tail),
-    plus the SP405 obligation every drop trigger adds: each dropped
-    storage must be re-materializable from state the mixed schedule
-    actually keeps resident — which the joint walk itself discharges,
-    reporting any replay that bottoms out at the freed INPUT batch.
+    The :func:`verify_plan` ledger (structural audit, SP407 compression
+    consistency, the abstract walk, the SP401 tail); the walk also
+    discharges the SP405 obligation every drop trigger adds — each
+    dropped storage must be re-materializable from state the mixed
+    schedule actually keeps resident — reporting any replay that
+    bottoms out at the freed INPUT batch.
     """
-    report = Report(subject=subject or
-                    f"{network.name} {config.describe()} [static]")
-    plan = compiled_plan(network, system, algos)
-    flagged = frozenset(audit_plan(network, plan, report))
-    audit_compression(network, system, plan, report)
-    interp = interpret_joint_plan(
-        network, system, plan, config,
-        report=report, flagged=flagged, subject=report.subject)
-    return _sp401(report, interp)
+    return verify_plan(network, system, config, algos, subject=subject)
 
 
 # ----------------------------------------------------------------------
@@ -956,7 +944,8 @@ class StaticProbe:
 
 
 class _ProbeSession:
-    """The probe walks of one static ladder, resumed from shared state.
+    """The probe walks of one static ladder, resumed from shared state,
+    and the :class:`StaticProbe` record of each (``passes``).
 
     A ladder probe needs only ``trainable``, and its report is thrown
     away, so two shortcuts keep a whole ladder close to linear in depth
@@ -988,15 +977,14 @@ class _ProbeSession:
         self.spacing = 1
         #: (forward position, state before that step), ascending.
         self.snapshots: List[Tuple[int, dict]] = []
+        #: One record per probe, in ladder order.
+        self.passes: List[StaticProbe] = []
 
     def probe(self, config, algos: AlgoConfig,
               description: str) -> PlanInterpretation:
         """One probe of a :class:`TransferPolicy` or a joint config."""
         plan = compiled_plan(self.network, self.system, algos)
-        if isinstance(config, TransferPolicy):
-            policy, drops = config, frozenset()
-        else:
-            policy, drops = config.policy(), config.drop
+        policy, drops = lower(config)
         walk = _PlanInterpreter(self.network, self.system, plan, policy,
                                 drops=drops, report=self.report,
                                 subject=description)
@@ -1015,7 +1003,10 @@ class _ProbeSession:
             self._walk(walk, position)
         except _AbortWalk as abort:
             aborted = str(abort)
-        return walk._result(aborted)
+        interp = walk._result(aborted)
+        self.passes.append(StaticProbe(description, config.describe(),
+                                       algos.label, interp.trainable))
+        return interp
 
     def _first_change(self, plan: CompiledPlan,
                       decisions: Tuple[FrozenSet[int], ...]) -> int:
@@ -1070,19 +1061,10 @@ def plan_dynamic_static(
     ``max_usage_bytes`` (quoted by that error) is the usage at its
     first over-budget allocation: a lower bound on the full walk's.
     """
-    passes: List[StaticProbe] = []
     session = _ProbeSession(network, system)
-
-    def probe(policy: TransferPolicy, algos: AlgoConfig,
-              description: str) -> PlanInterpretation:
-        interp = session.probe(policy, algos, description)
-        passes.append(StaticProbe(description, policy.describe(),
-                                  algos.label, interp.trainable))
-        return interp
-
     policy, algos, _adopted = run_profiling_ladder(
-        network, probe, system.gpu.memory_bytes)
-    return policy, algos, passes
+        network, session.probe, system.gpu.memory_bytes)
+    return policy, algos, session.passes
 
 
 def plan_joint_static(
@@ -1101,19 +1083,10 @@ def plan_joint_static(
     """
     from ..core.joint import run_joint_ladder
 
-    passes: List[StaticProbe] = []
     session = _ProbeSession(network, system)
-
-    def probe(config, algos: AlgoConfig,
-              description: str) -> PlanInterpretation:
-        interp = session.probe(config, algos, description)
-        passes.append(StaticProbe(description, config.describe(),
-                                  algos.label, interp.trainable))
-        return interp
-
     config, algos, _adopted = run_joint_ladder(
-        network, system, probe, system.gpu.memory_bytes)
-    return config, algos, passes
+        network, system, session.probe, system.gpu.memory_bytes)
+    return config, algos, session.passes
 
 
 # ----------------------------------------------------------------------
@@ -1131,8 +1104,6 @@ def verify_point_static(
     Subjects match :func:`repro.analysis.verify.verify_point` so the
     two sweeps zip together point for point.
     """
-    from ..core.dynamic import UntrainableError
-
     system = system or PAPER_SYSTEM
     subject = f"{network.name} {policy}({algo})"
     if policy == "base":
@@ -1148,22 +1119,15 @@ def verify_point_static(
                 f"network-wide allocation of {total} bytes exceeds GPU "
                 f"capacity of {system.gpu.memory_bytes} bytes")
         return report
-    if policy == "dyn":
-        subject = f"{network.name} dyn"
+    if policy in PLANNED_POLICIES:
+        subject = f"{network.name} {policy}"
+        planner = plan_joint_static if policy == "joint" \
+            else plan_dynamic_static
         try:
-            transfer, algos, _passes = plan_dynamic_static(network, system)
+            config, algos, _passes = planner(network, system)
         except UntrainableError:
             return Report(subject=f"{subject} (untrainable, skipped)")
-        return verify_plan(network, system, transfer, algos,
-                           subject=subject)
-    if policy == "joint":
-        subject = f"{network.name} joint"
-        try:
-            config, algos, _passes = plan_joint_static(network, system)
-        except UntrainableError:
-            return Report(subject=f"{subject} (untrainable, skipped)")
-        return verify_joint_plan(network, system, config, algos,
-                                 subject=subject)
+        return verify_plan(network, system, config, algos, subject=subject)
     return verify_plan(network, system, TransferPolicy.named(policy),
                        AlgoConfig.named(network, algo), subject=subject)
 

@@ -7,10 +7,11 @@ alongside its timeline — and feeds the trace to both analysis passes
 re-simulation happens per rule: the passes are pure functions of the
 already-generated artifacts.
 
-``verify_zoo`` sweeps every zoo network across the paper's policy grid
-{base, vDNN_conv, vDNN_all, vDNN_dyn} x {m, p} (dynamic picks its own
-algorithms, so it contributes one point), optionally fanning points out
-over worker processes — the CI ``verify-sweep`` gate.
+``verify_zoo`` sweeps every zoo network across the policy grid
+``SWEEP_POLICIES``: {base, vDNN_conv, vDNN_all, vDNN_comp} x {m, p} plus
+vDNN_dyn and the joint planner (each picks its own algorithms, so each
+contributes one point), optionally fanning points out over worker
+processes — the CI ``verify-sweep`` gate.
 
 ``verify_schedule`` checks the multi-tenant scheduler's shared-pool
 schedules (MT3xx rules): budget never exceeded, residency intervals
@@ -23,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.algo_config import AlgoConfig
-from ..core.dynamic import UntrainableError, plan_dynamic
+from ..core.dynamic import PLANNED_POLICIES, UntrainableError, plan_policy
 from ..core.executor import IterationResult, simulate_baseline, simulate_vdnn
 from ..core.liveness import LivenessAnalysis
 from ..core.policy import TransferPolicy
@@ -95,30 +96,19 @@ def verify_point(
     """Simulate one configuration with tracing on, then verify it."""
     system = system or PAPER_SYSTEM
     subject = f"{network.name} {policy}({algo})"
-    if policy == "base":
-        result = simulate_baseline(network, system,
-                                   AlgoConfig.named(network, algo),
-                                   verify=True)
-    elif policy == "dyn":
-        subject = f"{network.name} dyn"
+    if policy in PLANNED_POLICIES:
+        subject = f"{network.name} {policy}"
         try:
-            plan = plan_dynamic(network, system)
+            plan = plan_policy(network, system, policy)
         except UntrainableError:
             # Nothing to verify: the planner found no feasible schedule,
             # so no schedule exists to be racy or unsafe.
             return Report(subject=f"{subject} (untrainable, skipped)")
-        result = simulate_vdnn(network, system, plan.policy, plan.algos,
-                               verify=True)
-    elif policy == "joint":
-        subject = f"{network.name} joint"
-        from ..core.joint import plan_joint, simulate_joint_config
-
-        try:
-            jplan = plan_joint(network, system)
-        except UntrainableError:
-            return Report(subject=f"{subject} (untrainable, skipped)")
-        result = simulate_joint_config(network, system, jplan.config,
-                                       jplan.algos, verify=True)
+        result = plan.walk(network, system, verify=True)
+    elif policy == "base":
+        result = simulate_baseline(network, system,
+                                   AlgoConfig.named(network, algo),
+                                   verify=True)
     else:
         result = simulate_vdnn(network, system, TransferPolicy.named(policy),
                                AlgoConfig.named(network, algo), verify=True)

@@ -89,7 +89,8 @@ class AlgoConfig:
         convolutional algorithm will be locally downgraded into a less
         performant but more memory-efficient one, until it reaches the
         memory-optimal implicit GEMM" (Section III-C).  Returns False
-        when the layer is already at zero workspace.
+        when the layer is already at zero workspace.  The label is left
+        alone: the downgrade pass running the step owns it.
         """
         node = network[layer_index]
         if node.kind is not LayerKind.CONV:
@@ -106,7 +107,6 @@ class AlgoConfig:
         if cheaper is None:
             return False
         self.profiles[layer_index] = cheaper
-        self.label = "dyn"
         return True
 
     def copy(self) -> "AlgoConfig":

@@ -35,8 +35,8 @@ from ..hw.config import PAPER_SYSTEM, SystemConfig
 from ..obs import Instrumentation
 from .algo_config import AlgoConfig
 from .cached import cached_baseline, cached_vdnn
-from .dynamic import simulate_dynamic
-from .executor import IterationResult
+from .dynamic import PLANNED_POLICIES, run_adopted
+from .executor import IterationResult, simulate_baseline, simulate_vdnn
 from .policy import TransferPolicy
 
 _POLICIES = ("all", "conv", "comp", "dyn", "joint", "base", "none")
@@ -72,56 +72,23 @@ def evaluate(
     system = system or PAPER_SYSTEM
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
+    if policy in PLANNED_POLICIES:
+        return run_adopted(network, system, policy, use_cache=use_cache,
+                           verify=verify, faults=faults,
+                           fault_seed=fault_seed, obs=obs)
+    algos = AlgoConfig.named(network, algo)
     if faults is not None or verify or obs is not None:
-        from .dynamic import plan_dynamic
-        from .executor import simulate_baseline, simulate_vdnn
-
         if policy == "base":
             if faults is not None:
                 raise ValueError(
                     "the baseline policy performs no offload/prefetch "
                     "transfers; fault injection applies to vDNN policies "
-                    "(all, conv, dyn)")
-            return simulate_baseline(
-                network, system, AlgoConfig.named(network, algo),
-                verify=verify, obs=obs)
-        if policy == "dyn":
-            plan = plan_dynamic(network, system, use_cache=use_cache)
-            result = simulate_vdnn(
-                network, system, plan.policy, plan.algos, verify=verify,
-                faults=faults, fault_seed=fault_seed, obs=obs)
-            # Match simulate_dynamic's relabeling so fresh (verified,
-            # faulted, instrumented) dyn runs compare equal to cached ones.
-            result.policy_label = "vDNN_dyn"
-            result.algo_label = plan.algos.label
-            return result
-        if policy == "joint":
-            if faults is not None:
-                raise ValueError(
-                    "joint planning under fault injection is not "
-                    "supported; fault injection applies to the vDNN "
-                    "transfer policies (all, conv, comp, dyn)")
-            from .joint import plan_joint, simulate_joint_config
-
-            jplan = plan_joint(network, system, use_cache=use_cache)
-            result = simulate_joint_config(
-                network, system, jplan.config, jplan.algos,
-                verify=verify, obs=obs)
-            # Same relabeling contract as dyn above.
-            result.policy_label = "vDNN_joint"
-            result.algo_label = jplan.algos.label
-            return result
+                    "(all, conv, comp, dyn)")
+            return simulate_baseline(network, system, algos, verify=verify,
+                                     obs=obs)
         return simulate_vdnn(
-            network, system, TransferPolicy.named(policy),
-            AlgoConfig.named(network, algo),
+            network, system, TransferPolicy.named(policy), algos,
             verify=verify, faults=faults, fault_seed=fault_seed, obs=obs)
-    if policy == "dyn":
-        return simulate_dynamic(network, system, use_cache=use_cache)
-    if policy == "joint":
-        from .joint import simulate_joint
-
-        return simulate_joint(network, system, use_cache=use_cache)
-    algos = AlgoConfig.named(network, algo)
     if policy == "base":
         return cached_baseline(network, system, algos, use_cache=use_cache)
     return cached_vdnn(network, system, TransferPolicy.named(policy), algos,
@@ -169,10 +136,9 @@ def compare_policies(
             for policy in ("all", "conv", "comp") for algo in _ALGOS
         ]
         if include_dynamic:
-            points.append(
-                SweepPoint(network=network, policy="dyn", system=system))
-            points.append(
-                SweepPoint(network=network, policy="joint", system=system))
+            points += [SweepPoint(network=network, policy=policy,
+                                  system=system)
+                       for policy in PLANNED_POLICIES]
         points += [
             SweepPoint(network=network, policy="base", algo=algo,
                        system=system)
@@ -185,11 +151,9 @@ def compare_policies(
         for algo in _ALGOS:
             results[f"{policy}({algo})"] = evaluate(
                 network, system, policy, algo, use_cache=use_cache)
-    if include_dynamic:
-        results["dyn"] = evaluate(network, system, "dyn",
-                                  use_cache=use_cache)
-        results["joint"] = evaluate(network, system, "joint",
-                                    use_cache=use_cache)
+    for policy in PLANNED_POLICIES if include_dynamic else ():
+        results[policy] = evaluate(network, system, policy,
+                                   use_cache=use_cache)
     for algo in _ALGOS:
         results[f"base({algo})"] = evaluate(
             network, system, "base", algo, use_cache=use_cache)

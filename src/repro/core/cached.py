@@ -44,6 +44,16 @@ def dynamic_key(network: Network, system: SystemConfig) -> str:
     return fingerprint_point("dynamic", network, system)
 
 
+def adopted_joint_key(network: Network, system: SystemConfig) -> str:
+    return fingerprint_point("joint-adopted", network, system)
+
+
+def adopted_key(network: Network, system: SystemConfig, policy: str) -> str:
+    """The point a planned policy's relabeled adopted result lives at."""
+    key = dynamic_key if policy == "dyn" else adopted_joint_key
+    return key(network, system)
+
+
 def _through_cache(key: str, compute, use_cache: Optional[bool]):
     if not cache_enabled(use_cache):
         return compute()

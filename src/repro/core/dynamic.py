@@ -20,19 +20,32 @@ one that is trainable:
 
 Each probe here is one run of the iteration simulator — the analogue of
 the paper's single profiled training pass.
+
+The joint ladder (:mod:`repro.core.joint`) runs in the same frame: the
+downgrade pass, probe recorder and adopted-plan run path below serve
+both ladders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, ClassVar, FrozenSet, List, Optional, Tuple
 
+from ..faults import FaultSpec
 from ..graph.network import Network
 from ..hw.config import SystemConfig
+from ..obs import Instrumentation
+from ..perf.cache import cache_enabled, get_cache
 from .algo_config import AlgoConfig
-from .cached import cached_vdnn, dynamic_key
-from .executor import IterationResult
+from .cached import adopted_key, cached_vdnn
+from .executor import IterationResult, simulate_vdnn
 from .policy import TransferPolicy
+
+#: Policies whose configuration a profiling ladder adopts.
+PLANNED_POLICIES = ("dyn", "joint")
+
+#: Probe cap of one greedy algorithm-downgrade pass.
+MAX_DOWNGRADE_PROBES = 64
 
 
 class UntrainableError(RuntimeError):
@@ -60,69 +73,79 @@ class DynamicPlan:
     result: IterationResult
     passes: List[ProfilingPass] = field(default_factory=list)
 
+    label: ClassVar[str] = "vDNN_dyn"
+
     @property
     def description(self) -> str:
         return f"{self.policy.describe()} + algos[{self.algos.label}]"
 
+    def walk(self, network: Network, system: SystemConfig,
+             **options) -> IterationResult:
+        """Simulate the adopted configuration afresh."""
+        return simulate_vdnn(network, system, self.policy, self.algos,
+                             **options)
 
-def _probe(
-    network: Network,
-    system: SystemConfig,
-    policy: TransferPolicy,
-    algos: AlgoConfig,
-    description: str,
-    passes: List[ProfilingPass],
-    use_cache: Optional[bool] = None,
-) -> IterationResult:
-    # Each profiling pass is one content-addressed simulation point:
-    # repeated planning over the same network replays passes as hits.
-    result = cached_vdnn(network, system, policy, algos, use_cache=use_cache)
-    passes.append(ProfilingPass(
-        description=description,
-        policy=policy,
-        algo_label=algos.label,
-        trainable=result.trainable,
-        max_usage_bytes=result.max_usage_bytes,
-        feature_extraction_time=result.feature_extraction_time,
-    ))
-    return result
+
+def lower(config) -> Tuple[TransferPolicy, FrozenSet[int]]:
+    """A dyn (transfer policy) or joint ladder configuration as the
+    walk takes it: ``(policy, drop triggers)``."""
+    if isinstance(config, TransferPolicy):
+        return config, frozenset()
+    return config.policy(), config.drop
+
+
+def probe_recorder(
+    simulate: Callable[[object, AlgoConfig], IterationResult],
+) -> Tuple[Callable, List[ProfilingPass]]:
+    """``(probe, passes)``: a ladder probe that runs ``simulate(config,
+    algos)`` and appends a :class:`ProfilingPass` per call."""
+    passes: List[ProfilingPass] = []
+
+    def probe(config, algos: AlgoConfig,
+              description: str) -> IterationResult:
+        result = simulate(config, algos)
+        passes.append(ProfilingPass(
+            description=description,
+            policy=lower(config)[0],
+            algo_label=algos.label,
+            trainable=result.trainable,
+            max_usage_bytes=result.max_usage_bytes,
+            feature_extraction_time=result.feature_extraction_time,
+        ))
+        return result
+
+    return probe, passes
 
 
 def _greedy_downgrade(
     network: Network,
-    policy: TransferPolicy,
+    config,
     probe,
-    max_probes: int = 64,
+    label: str,
+    stage: str,
 ) -> Optional[Tuple[AlgoConfig, object]]:
-    """Pass-3 greedy: shrink the most workspace-hungry layers until fit.
+    """Greedy per-layer algorithm downgrades under one configuration.
 
     The paper walks layers in order and downgrades any whose fastest
     algorithm would overflow the budget; with a simulator per probe we
     can be slightly smarter and always downgrade the layer contributing
     the largest live workspace, which reaches the same fixed points.
+    Serves dyn pass 3 and joint pass 5; the pass owns the label its
+    algorithm mix carries (``"dyn"`` or ``"joint"``).
     """
     algos = AlgoConfig.performance_optimal(network)
-    algos.label = "dyn"
-    for probe_index in range(max_probes):
-        result = probe(
-            policy, algos, f"greedy[{policy.describe()}] probe {probe_index}"
-        )
+    algos.label = label
+    for probe_index in range(MAX_DOWNGRADE_PROBES):
+        result = probe(config, algos, f"{stage} probe {probe_index}")
         if result.trainable:
             return algos, result
         # Downgrade the layer with the largest current workspace.
-        candidates = sorted(
-            algos.profiles.items(),
-            key=lambda item: item[1].workspace_bytes,
+        hungriest = sorted(
+            algos.profiles,
+            key=lambda index: algos.profiles[index].workspace_bytes,
             reverse=True,
         )
-        downgraded = False
-        for layer_index, profile in candidates:
-            if profile.workspace_bytes == 0:
-                break
-            if algos.downgrade(network, layer_index):
-                downgraded = True
-                break
-        if not downgraded:
+        if not any(algos.downgrade(network, index) for index in hungriest):
             return None  # everything is already at implicit GEMM
     return None
 
@@ -177,10 +200,10 @@ def run_profiling_ladder(
 
     # Pass 3: greedy per-layer algorithm downgrades.
     for policy in (TransferPolicy.vdnn_conv(), TransferPolicy.vdnn_all()):
-        greedy = _greedy_downgrade(network, policy, probe)
+        greedy = _greedy_downgrade(network, policy, probe, "dyn",
+                                   f"greedy[{policy.describe()}]")
         if greedy is not None:
-            algos, result = greedy
-            return policy, algos, result
+            return (policy, *greedy)
 
     # Fallback: the known-feasible configuration from pass 1.
     return TransferPolicy.vdnn_all(), memory_optimal, feasibility
@@ -192,16 +215,61 @@ def plan_dynamic(
     use_cache: Optional[bool] = None,
 ) -> DynamicPlan:
     """Run the vDNN_dyn profiling passes and return the adopted plan."""
-    passes: List[ProfilingPass] = []
-
-    def probe(policy: TransferPolicy, algos: AlgoConfig,
-              description: str) -> IterationResult:
-        return _probe(network, system, policy, algos, description, passes,
-                      use_cache=use_cache)
-
+    probe, passes = probe_recorder(
+        lambda policy, algos: cached_vdnn(network, system, policy, algos,
+                                          use_cache=use_cache))
     policy, algos, result = run_profiling_ladder(
         network, probe, system.gpu.memory_bytes)
     return DynamicPlan(policy, algos, result, passes)
+
+
+def plan_policy(
+    network: Network,
+    system: SystemConfig,
+    policy: str,
+    use_cache: Optional[bool] = None,
+):
+    """The adopted plan of a planned policy (``"dyn"`` or ``"joint"``)."""
+    if policy == "dyn":
+        return plan_dynamic(network, system, use_cache=use_cache)
+    from .joint import plan_joint
+
+    return plan_joint(network, system, use_cache=use_cache)
+
+
+def run_adopted(
+    network: Network,
+    system: SystemConfig,
+    policy: str,
+    use_cache: Optional[bool] = None,
+    verify: bool = False,
+    faults: Optional[FaultSpec] = None,
+    fault_seed: int = 0,
+    obs: Optional[Instrumentation] = None,
+) -> IterationResult:
+    """A planned policy's adopted result, labeled ``vDNN_dyn`` or
+    ``vDNN_joint`` plus the adopted algorithms' label.
+
+    A plain run is cached under the policy's adopted point, so a warm
+    ``evaluate(..., policy="dyn")`` skips the ladder; a verified,
+    faulted or instrumented one walks the adopted configuration afresh.
+    """
+    fresh = verify or faults is not None or obs is not None
+    enabled = not fresh and cache_enabled(use_cache)
+    key = adopted_key(network, system, policy) if enabled else None
+    if enabled:
+        cached = get_cache().get(key)
+        if cached is not None:
+            return cached
+    plan = plan_policy(network, system, policy, use_cache=use_cache)
+    result = plan.walk(network, system, verify=verify, faults=faults,
+                       fault_seed=fault_seed, obs=obs) \
+        if fresh else plan.result
+    result.policy_label = plan.label
+    result.algo_label = plan.algos.label
+    if enabled:
+        get_cache().put(key, result)
+    return result
 
 
 def simulate_dynamic(
@@ -209,26 +277,5 @@ def simulate_dynamic(
     system: SystemConfig,
     use_cache: Optional[bool] = None,
 ) -> IterationResult:
-    """Convenience: run vDNN_dyn and relabel the adopted result.
-
-    The adopted (already relabeled) result is itself cached under a
-    ``dynamic`` point, so a warm ``evaluate(..., policy="dyn")`` skips
-    the whole profiling ladder; a cold run still benefits from any
-    previously cached individual passes.
-    """
-    from ..perf.cache import cache_enabled, get_cache
-
-    enabled = cache_enabled(use_cache)
-    key = dynamic_key(network, system) if enabled else None
-    if enabled:
-        cached = get_cache().get(key)
-        if cached is not None:
-            return cached
-
-    plan = plan_dynamic(network, system, use_cache=use_cache)
-    result = plan.result
-    result.policy_label = "vDNN_dyn"
-    result.algo_label = plan.algos.label
-    if enabled:
-        get_cache().put(key, result)
-    return result
+    """Convenience: run vDNN_dyn and relabel the adopted result."""
+    return run_adopted(network, system, "dyn", use_cache)

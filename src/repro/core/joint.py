@@ -15,11 +15,12 @@ candidate owners; the walk's static twin
 (:class:`~repro.analysis.static_plan._PlanInterpreter`) takes the drop
 triggers themselves.
 
-Structure mirrors :mod:`repro.core.dynamic`: a probe-abstracted ladder
-(:func:`run_joint_ladder`) whose adoption depends only on trainability
-and on modeled costs — never on simulated time — so the static verifier
-can replay the identical ladder by abstract interpretation and prove
-both sides adopt the same configuration (the parity differential
+Only the ladder body (:func:`run_joint_ladder`) lives here; the frame
+around it — downgrade pass, probe recorder, adopted-plan run path — is
+vDNN_dyn's, in :mod:`repro.core.dynamic`.  Adoption depends only on
+trainability and on modeled costs — never on simulated time — so the
+static verifier replays the identical ladder by abstract interpretation
+and both sides adopt the same configuration (the parity differential
 tests in ``tests/test_joint_differential.py``).
 """
 
@@ -27,14 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import ClassVar, Dict, FrozenSet, List, Optional, Tuple
 
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..perf.cache import cache_enabled, get_cache
 from ..perf.fingerprint import fingerprint_point
 from .algo_config import AlgoConfig
-from .dynamic import ProfilingPass, UntrainableError
+from .cached import _through_cache
+from .dynamic import ProfilingPass, UntrainableError, _greedy_downgrade, \
+    probe_recorder, run_adopted
 from .executor import IterationResult, _VDNNSimulation, _run_walk
 from .plan import CompiledPlan, compiled_plan
 from .policy import TransferPolicy
@@ -111,9 +113,23 @@ class JointPlan:
     result: IterationResult
     passes: List[ProfilingPass] = field(default_factory=list)
 
+    label: ClassVar[str] = "vDNN_joint"
+
     @property
     def description(self) -> str:
         return f"{self.config.describe()} + algos[{self.algos.label}]"
+
+    def walk(self, network: Network, system: SystemConfig,
+             faults=None, fault_seed: int = 0, **options) -> IterationResult:
+        """Simulate the adopted configuration afresh (no fault injection:
+        planning under faults is out of scope)."""
+        if faults is not None:
+            raise ValueError(
+                "joint planning under fault injection is not "
+                "supported; fault injection applies to the vDNN "
+                "transfer policies (all, conv, comp, dyn)")
+        return simulate_joint_config(network, system, self.config,
+                                     self.algos, **options)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +215,6 @@ def run_joint_ladder(
     system: SystemConfig,
     probe,
     budget_bytes: int,
-    max_probes: int = 64,
 ):
     """The joint planning ladder, abstracted over how probes run.
 
@@ -299,27 +314,10 @@ def run_joint_ladder(
     # Pass 5: greedy per-layer algorithm downgrades, cheapest decisions.
     cheapest = _config_of(
         {t: _best_action(costs[t])[0] for t in triggers})
-    algos = AlgoConfig.performance_optimal(network)
-    algos.label = "joint"
-    for probe_index in range(max_probes):
-        result = probe(cheapest, algos,
-                       f"pass5: joint downgrade probe {probe_index}")
-        if result.trainable:
-            return cheapest, algos, result
-        hungriest = sorted(
-            algos.profiles.items(),
-            key=lambda item: item[1].workspace_bytes,
-            reverse=True,
-        )
-        downgraded = False
-        for layer_index, profile in hungriest:
-            if profile.workspace_bytes == 0:
-                break
-            if algos.downgrade(network, layer_index):
-                downgraded = True
-                break
-        if not downgraded:
-            break
+    greedy = _greedy_downgrade(network, cheapest, probe, "joint",
+                               "pass5: joint downgrade")
+    if greedy is not None:
+        return (cheapest, *greedy)
 
     # Pass 6: the known-feasible configuration from pass 1.
     return fallback
@@ -364,7 +362,7 @@ def simulate_joint_config(
 # ----------------------------------------------------------------------
 # Cache-aware entry points (mirror core/cached.py's idiom; they live
 # here because cached.py is imported by dynamic.py, which this module
-# imports — the joint keys would otherwise create an import cycle)
+# imports — cached_joint would otherwise create an import cycle)
 # ----------------------------------------------------------------------
 def joint_key(network: Network, system: SystemConfig,
               config: JointConfig, algos: AlgoConfig) -> str:
@@ -375,10 +373,6 @@ def joint_key(network: Network, system: SystemConfig,
                              extra={"drop": sorted(config.drop)})
 
 
-def adopted_joint_key(network: Network, system: SystemConfig) -> str:
-    return fingerprint_point("joint-adopted", network, system)
-
-
 def cached_joint(
     network: Network,
     system: SystemConfig,
@@ -387,11 +381,10 @@ def cached_joint(
     use_cache: Optional[bool] = None,
 ) -> IterationResult:
     """:func:`simulate_joint_config` through the content-addressed cache."""
-    if not cache_enabled(use_cache):
-        return simulate_joint_config(network, system, config, algos)
-    return get_cache().get_or_compute(
+    return _through_cache(
         joint_key(network, system, config, algos),
-        lambda: simulate_joint_config(network, system, config, algos))
+        lambda: simulate_joint_config(network, system, config, algos),
+        use_cache)
 
 
 def plan_joint(
@@ -400,22 +393,9 @@ def plan_joint(
     use_cache: Optional[bool] = None,
 ) -> JointPlan:
     """Run the joint planning ladder and return the adopted plan."""
-    passes: List[ProfilingPass] = []
-
-    def probe(config: JointConfig, algos: AlgoConfig,
-              description: str) -> IterationResult:
-        result = cached_joint(network, system, config, algos,
-                              use_cache=use_cache)
-        passes.append(ProfilingPass(
-            description=description,
-            policy=config.policy(),
-            algo_label=algos.label,
-            trainable=result.trainable,
-            max_usage_bytes=result.max_usage_bytes,
-            feature_extraction_time=result.feature_extraction_time,
-        ))
-        return result
-
+    probe, passes = probe_recorder(
+        lambda config, algos: cached_joint(network, system, config, algos,
+                                           use_cache=use_cache))
     config, algos, result = run_joint_ladder(
         network, system, probe, system.gpu.memory_bytes)
     return JointPlan(config, algos, result, passes)
@@ -426,22 +406,7 @@ def simulate_joint(
     system: SystemConfig,
     use_cache: Optional[bool] = None,
 ) -> IterationResult:
-    """Convenience: run the joint planner and relabel the adopted result.
-
-    Mirrors :func:`~repro.core.dynamic.simulate_dynamic`: the adopted
-    (relabeled) result is cached under its own ``joint-adopted`` point,
-    so a warm ``evaluate(..., policy="joint")`` skips the ladder.
-    """
-    enabled = cache_enabled(use_cache)
-    key = adopted_joint_key(network, system) if enabled else None
-    if enabled:
-        cached = get_cache().get(key)
-        if cached is not None:
-            return cached
-    plan = plan_joint(network, system, use_cache=use_cache)
-    result = plan.result
-    result.policy_label = "vDNN_joint"
-    result.algo_label = plan.algos.label
-    if enabled:
-        get_cache().put(key, result)
-    return result
+    """Convenience: run the joint planner and relabel the adopted result
+    (cached under its own ``joint-adopted`` point, see
+    :func:`~repro.core.dynamic.run_adopted`)."""
+    return run_adopted(network, system, "joint", use_cache)

@@ -78,17 +78,14 @@ def point_key(point: SweepPoint) -> str:
     """
     from ..core import cached as core_cached
     from ..core.algo_config import AlgoConfig
+    from ..core.dynamic import PLANNED_POLICIES
     from ..core.policy import TransferPolicy
     from ..hw.config import PAPER_SYSTEM
 
     network = point.build_network()
     system = point.system or PAPER_SYSTEM
-    if point.policy == "dyn":
-        return core_cached.dynamic_key(network, system)
-    if point.policy == "joint":
-        from ..core.joint import adopted_joint_key
-
-        return adopted_joint_key(network, system)
+    if point.policy in PLANNED_POLICIES:
+        return core_cached.adopted_key(network, system, point.policy)
     if point.policy == "hybrid":
         return core_cached.recompute_key(
             network, system, AlgoConfig.memory_optimal(network))

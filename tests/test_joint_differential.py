@@ -59,6 +59,12 @@ MIXED_POINTS = (("googlenet", 128, 2.0), ("googlenet", 128, 2.6),
                 ("resnet50", 32, 1.2))
 
 
+#: Points whose ladders run the greedy algorithm-downgrade pass: the
+#: dyn ladder's ``greedy[vDNN_conv]`` (23 and 10 probes) and joint
+#: pass 5 (37 and 16 probes).
+DOWNGRADE_POINTS = (("vgg16", 64, 3.8), ("overfeat", 128, 1.6))
+
+
 def _system(budget_gb):
     return PAPER_SYSTEM.with_gpu_memory(int(budget_gb * GB))
 
@@ -152,7 +158,8 @@ class TestSanitizerClean:
 class TestStaticDynamicParity:
     @pytest.mark.parametrize("name,batch,budget", MIXED_POINTS
                              + (("alexnet", 64, 12.0),
-                                ("vgg16", 64, 8.0)))
+                                ("vgg16", 64, 8.0))
+                             + DOWNGRADE_POINTS)
     def test_ladders_adopt_identical_configs(self, name, batch, budget):
         network = build(name, batch)
         system = _system(budget)
@@ -168,6 +175,21 @@ class TestStaticDynamicParity:
         assert len(passes) == len(dynamic.passes)
         assert [p.description for p in passes] \
             == [p.description for p in dynamic.passes]
+        assert [p.algo_label for p in passes] \
+            == [p.algo_label for p in dynamic.passes]
+
+    @pytest.mark.parametrize("name,batch,budget", DOWNGRADE_POINTS)
+    def test_downgraded_algos_keep_the_joint_label(self, name, batch,
+                                                   budget):
+        """Pass 5 adopts downgraded algorithms labelled ``joint``."""
+        network = build(name, batch)
+        system = _system(budget)
+        dynamic = plan_joint(network, system, use_cache=False)
+        assert dynamic.passes[-1].description.startswith("pass5:")
+        assert dynamic.algos.label == "joint"
+        assert plan_joint_static(network, system)[1].label == "joint"
+        result = evaluate(network, system, policy="joint", use_cache=False)
+        assert result.label == "vDNN_joint(joint)"
 
     @pytest.mark.parametrize("name,batch,budget", MIXED_POINTS)
     def test_abstract_walk_matches_simulation_bitwise(self, name, batch,

@@ -71,8 +71,8 @@ class TestLabels:
         algos = AlgoConfig.performance_optimal(deep_cnn)
         target = max(algos.profiles,
                      key=lambda i: algos.profiles[i].workspace_bytes)
-        algos.downgrade(deep_cnn, target)
-        assert algos.label == "dyn"
+        assert algos.downgrade(deep_cnn, target)
+        assert algos.label == "p"
 
     def test_policy_describe_stable(self):
         assert TransferPolicy.none().describe() == "vDNN_none"

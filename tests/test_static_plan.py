@@ -149,10 +149,18 @@ class TestStaticImpliesDynamic:
         # Subjects pair up so the sweeps zip together point for point.
         assert static.subject == dynamic.subject
 
-    def test_dyn_ladder_adopts_identical_configuration(self):
-        network = build("alexnet")
-        policy, algos, probes = plan_dynamic_static(network, PAPER_SYSTEM)
-        simulated = plan_dynamic(network, PAPER_SYSTEM)
+    @pytest.mark.parametrize("name,batch,budget", [
+        ("alexnet", None, None),
+        # Both run the greedy downgrade pass (greedy[vDNN_conv]).
+        ("vgg16", 64, 3.8), ("overfeat", 128, 1.6),
+    ])
+    def test_dyn_ladder_adopts_identical_configuration(self, name, batch,
+                                                       budget):
+        network = build(name, batch)
+        system = PAPER_SYSTEM if budget is None \
+            else PAPER_SYSTEM.with_gpu_memory(int(budget * (1 << 30)))
+        policy, algos, probes = plan_dynamic_static(network, system)
+        simulated = plan_dynamic(network, system)
         assert policy.describe() == simulated.policy.describe()
         assert algos.label == simulated.algos.label
         assert [p.description for p in probes] \

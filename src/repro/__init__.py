@@ -31,13 +31,14 @@ Quick start::
     print(result.trainable, result.max_usage_bytes)
 """
 
+import importlib
+
 from . import (
     alloc,
     core,
     graph,
     hw,
     kernels,
-    numerics,
     profiler,
     reporting,
     sim,
@@ -59,3 +60,11 @@ __all__ = [
     "sim",
     "zoo",
 ]
+
+
+def __getattr__(name: str):
+    # ``numerics`` pulls in numpy, which no simulator path needs: it is
+    # imported on first access instead of with the package.
+    if name == "numerics":
+        return importlib.import_module(".numerics", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,6 +23,7 @@ the pool itself observes.  Rules:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -39,14 +40,77 @@ class _LiveBlock:
     buffer: str
     alloc: TraceOp
     offloads: List[TraceOp]
+    lo: int
+    hi: int
+    has_range: bool
 
-    @property
-    def has_range(self) -> bool:
-        return self.alloc.offset >= 0 and self.alloc.size > 0
+    @classmethod
+    def open(cls, op: TraceOp) -> "_LiveBlock":
+        return cls(buffer=op.buffer, alloc=op, offloads=[], lo=op.offset,
+                   hi=op.offset + op.size,
+                   has_range=op.offset >= 0 and op.size > 0)
 
-    @property
-    def range(self) -> Tuple[int, int]:
-        return (self.alloc.offset, self.alloc.offset + self.alloc.size)
+
+class _LiveSet:
+    """The open lifetimes, with the ranged ones indexed by offset.
+
+    While no two ranged live blocks overlap (true of every sound
+    trace), sorting them by start also sorts their ends, so a new
+    ``[lo, hi)`` can only intersect the blocks starting inside it plus
+    the one block just before ``lo``: two bisects instead of a scan of
+    every live block.  The first overlap or double allocation breaks
+    that invariant; the index is then dropped for the rest of the
+    replay and every query scans the live set exactly.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: Dict[str, _LiveBlock] = {}
+        self._starts: Optional[List[int]] = []  # None: index dropped
+        self._ranged: List[_LiveBlock] = []   # parallel to _starts
+
+    def open(self, block: _LiveBlock) -> List[_LiveBlock]:
+        """Add ``block``; returns the other live ranged blocks its range
+        intersects, in live-set (insertion) order."""
+        # Drop the index before querying: only the exact scan skips the
+        # buffer's own previous block.
+        if block.buffer in self.blocks:
+            self._starts = None
+        hits = self._overlapping(block) if block.has_range else []
+        if hits:
+            self._starts = None
+        # A re-opened live buffer keeps its dict (report) position.
+        self.blocks[block.buffer] = block
+        if self._starts is not None and block.has_range:
+            at = bisect_left(self._starts, block.lo)
+            self._starts.insert(at, block.lo)
+            self._ranged.insert(at, block)
+        return hits
+
+    def pop(self, buffer: str) -> Optional[_LiveBlock]:
+        block = self.blocks.pop(buffer, None)
+        if block is None:
+            return None
+        if self._starts is not None and block.has_range:
+            at = bisect_left(self._starts, block.lo)
+            del self._starts[at]
+            del self._ranged[at]
+        return block
+
+    def _overlapping(self, block: _LiveBlock) -> List[_LiveBlock]:
+        lo, hi = block.lo, block.hi
+        if self._starts is None:
+            return [other for other in self.blocks.values()
+                    if other.buffer != block.buffer and other.has_range
+                    and _overlaps(lo, hi, other.lo, other.hi)]
+        first = bisect_left(self._starts, lo)
+        hits = self._ranged[first:bisect_left(self._starts, hi, first)]
+        if first and self._ranged[first - 1].hi > lo:
+            hits.append(self._ranged[first - 1])
+        if len(hits) > 1:
+            # Without double allocations (which drop the index), live
+            # dict order is alloc issue order.
+            hits.sort(key=lambda other: other.alloc.seq)
+        return hits
 
 
 @dataclass
@@ -77,7 +141,7 @@ def check_memory_safety(
         diagnostics.append(Diagnostic.make(
             rule, message, subject=subject, refs=[op.ref() for op in ops]))
 
-    live: Dict[str, _LiveBlock] = {}
+    live = _LiveSet()
     hot: List[_HotRange] = []
     issued_kernels: Set[Tuple[int, str]] = set()  # (layer_index, phase)
     flagged_missing: Set[str] = set()
@@ -97,7 +161,7 @@ def check_memory_safety(
             if op.kind is OpKind.KERNEL and op.layer_index >= 0:
                 issued_kernels.add((op.layer_index, op.phase))
             for buffer in op.touched:
-                block = live.get(buffer)
+                block = live.blocks.get(buffer)
                 if block is None:
                     if buffer not in flagged_missing:
                         flagged_missing.add(buffer)
@@ -110,7 +174,7 @@ def check_memory_safety(
                 elif op.kind is OpKind.OFFLOAD and buffer == op.buffer:
                     block.offloads.append(op)
 
-    for buffer, block in sorted(live.items()):
+    for buffer, block in sorted(live.blocks.items()):
         if not block.alloc.persistent:
             report(
                 "MS103",
@@ -120,41 +184,37 @@ def check_memory_safety(
     return diagnostics
 
 
-def _replay_alloc(op: TraceOp, live: Dict[str, _LiveBlock],
+def _replay_alloc(op: TraceOp, live: _LiveSet,
                   hot: List[_HotRange], report) -> None:
-    if op.buffer in live:
+    previous = live.blocks.get(op.buffer)
+    if previous is not None:
         report(
             "MS104",
             f"{op.buffer} allocated twice without an intervening free",
-            live[op.buffer].alloc, op)
-    block = _LiveBlock(buffer=op.buffer, alloc=op, offloads=[])
+            previous.alloc, op)
+    block = _LiveBlock.open(op)
+    for other in live.open(block):
+        report(
+            "MS104",
+            f"{op.buffer} at [{block.lo}, {block.hi}) overlaps live buffer "
+            f"{other.buffer} at [{other.lo}, {other.hi})",
+            op, other.alloc)
     if block.has_range:
-        lo, hi = block.range
-        for other in live.values():
-            if other.buffer != op.buffer and other.has_range and \
-                    _overlaps(lo, hi, *other.range):
-                report(
-                    "MS104",
-                    f"{op.buffer} at [{lo}, {hi}) overlaps live buffer "
-                    f"{other.buffer} at "
-                    f"[{other.range[0]}, {other.range[1]})",
-                    op, other.alloc)
         for entry in hot:
-            if _overlaps(lo, hi, entry.lo, entry.hi):
+            if _overlaps(block.lo, block.hi, entry.lo, entry.hi):
                 report(
                     "MS104",
-                    f"{op.buffer} at [{lo}, {hi}) reuses bytes of "
-                    f"{entry.buffer} while its offload may still be "
+                    f"{op.buffer} at [{block.lo}, {block.hi}) reuses bytes "
+                    f"of {entry.buffer} while its offload may still be "
                     f"reading them",
                     op, entry.transfer)
-    live[op.buffer] = block
 
 
-def _replay_free(op: TraceOp, live: Dict[str, _LiveBlock],
+def _replay_free(op: TraceOp, live: _LiveSet,
                  hot: List[_HotRange], hb: HBGraph,
                  liveness: Optional[LivenessAnalysis],
                  issued_kernels: Set[Tuple[int, str]], report) -> None:
-    block = live.pop(op.buffer, None)
+    block = live.pop(op.buffer)
     if block is None:
         report(
             "MS102",
@@ -164,11 +224,10 @@ def _replay_free(op: TraceOp, live: Dict[str, _LiveBlock],
     # Bytes released under an in-flight, unsynchronized offload stay
     # "hot": a later allocation landing on them is real corruption.
     if block.has_range:
-        lo, hi = block.range
         for transfer in block.offloads:
             if not hb.happens_before(transfer, op):
-                hot.append(_HotRange(lo=lo, hi=hi, buffer=op.buffer,
-                                     transfer=transfer))
+                hot.append(_HotRange(lo=block.lo, hi=block.hi,
+                                     buffer=op.buffer, transfer=transfer))
     if liveness is not None and op.phase == "fwd" and op.owner >= 0:
         _check_refcount_gate(op, block, liveness, issued_kernels, report)
 

@@ -10,8 +10,8 @@ already-generated artifacts.
 ``verify_zoo`` sweeps every zoo network across the policy grid
 ``SWEEP_POLICIES``: {base, vDNN_conv, vDNN_all, vDNN_comp} x {m, p} plus
 vDNN_dyn and the joint planner (each picks its own algorithms, so each
-contributes one point), optionally fanning points out over worker
-processes — the CI ``verify-sweep`` gate.
+contributes one point), one network build per grid row, optionally
+fanning rows out over worker processes — the CI ``verify-sweep`` gate.
 
 ``verify_schedule`` checks the multi-tenant scheduler's shared-pool
 schedules (MT3xx rules): budget never exceeded, residency intervals
@@ -118,12 +118,22 @@ def verify_point(
 # ----------------------------------------------------------------------
 # Zoo sweep (the CI gate)
 # ----------------------------------------------------------------------
-def _verify_point_task(task: Tuple[str, Optional[int], str, str]) -> Report:
-    """Worker entry: build the network in-process and verify one point."""
+#: One grid row: (network name, batch, the row's (policy, algo) points).
+_RowTask = Tuple[str, Optional[int], Tuple[Tuple[str, str], ...]]
+
+
+def _verify_row_task(task: _RowTask) -> List[Report]:
+    """Worker entry: build one grid row's network, verify its points.
+
+    The row, not the point, is the task unit: one build per network
+    lets every point of the row share its memoized compiled plans.
+    """
     from ..zoo import build
 
-    name, batch, policy, algo = task
-    return verify_point(build(name, batch), policy=policy, algo=algo)
+    name, batch, points = task
+    network = build(name, batch)
+    return [verify_point(network, policy=policy, algo=algo)
+            for policy, algo in points]
 
 
 def verify_zoo(
@@ -160,34 +170,35 @@ def verify_zoo(
                                  policies=policies)
 
     names = list(names) if names else available()
-    tasks = [(name, batch, policy, algo)
-             for name in names for policy, algo in policies]
-
     if mode == "hybrid":
         from .static_plan import verify_zoo_static
 
         reports = verify_zoo_static(names=names, batch=batch,
                                     policies=policies)
-        tasks = [task for task, report in zip(tasks, reports)
-                 if not report.ok]
-        if not tasks:
-            return reports
-        merged = list(reports)
-        dirty = iter(_run_tasks(tasks, jobs))
-        for position, report in enumerate(merged):
-            if not report.ok:
-                merged[position] = next(dirty)
-        return merged
+        width = len(policies)
+        rows = []
+        for row, name in enumerate(names):
+            row_reports = reports[row * width:(row + 1) * width]
+            points = tuple(point for point, report
+                           in zip(policies, row_reports) if not report.ok)
+            if points:
+                rows.append((name, batch, points))
+        dirty = iter(_run_rows(rows, jobs))
+        return [report if report.ok else next(dirty) for report in reports]
 
-    return _run_tasks(tasks, jobs)
+    return _run_rows([(name, batch, tuple(policies)) for name in names],
+                     jobs)
 
 
-def _run_tasks(tasks: Sequence[Tuple[str, Optional[int], str, str]],
-               jobs: int) -> List[Report]:
+def _run_rows(rows: Sequence[_RowTask], jobs: int) -> List[Report]:
+    """Verify grid rows (in worker processes when ``jobs > 1``); the
+    reports come back flattened in grid order."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_verify_point_task, tasks))
-    return [_verify_point_task(task) for task in tasks]
+            results = list(pool.map(_verify_row_task, rows))
+    else:
+        results = [_verify_row_task(row) for row in rows]
+    return [report for row in results for report in row]
 
 
 # ----------------------------------------------------------------------

@@ -155,25 +155,30 @@ class Network:
 
         # Kahn's algorithm, stable with respect to the declaration order so
         # that builder-emitted networks keep their natural layer numbering.
+        # ``ordered`` doubles as the FIFO queue (``head`` is its front);
+        # ``queued`` names every layer ever enqueued, so a layer reading
+        # one input twice is enqueued once.
         remaining_deps = {layer.name: set(layer.inputs) for layer in layers}
-        ordered: List[Layer] = []
-        ready = [l for l in layers if not remaining_deps[l.name]]
+        ordered = [l for l in layers if not remaining_deps[l.name]]
+        queued = {l.name for l in ordered}
         consumers: Dict[str, List[Layer]] = {l.name: [] for l in layers}
         for layer in layers:
             for dep in layer.inputs:
                 consumers[dep].append(layer)
 
-        while ready:
-            layer = ready.pop(0)
-            ordered.append(layer)
+        head = 0
+        while head < len(ordered):
+            layer = ordered[head]
+            head += 1
             for consumer in consumers[layer.name]:
                 deps = remaining_deps[consumer.name]
                 deps.discard(layer.name)
-                if not deps and consumer not in ready and consumer not in ordered:
-                    ready.append(consumer)
+                if not deps and consumer.name not in queued:
+                    queued.add(consumer.name)
+                    ordered.append(consumer)
 
         if len(ordered) != len(layers):
-            stuck = [l.name for l in layers if l not in ordered]
+            stuck = [l.name for l in layers if l.name not in queued]
             raise GraphError(f"network contains a cycle involving {stuck}")
         return ordered
 

@@ -89,6 +89,10 @@ class TrainingRuntime:
         host_budget_bytes: cap on offloaded (pinned) bytes.
         seed: controls weight init, synthetic dropout masks.
         learning_rate / momentum: SGD hyperparameters.
+        recompute_segments: split the droppable feature maps into this
+            many checkpoint segments and recompute the rest in backward
+            propagation; ``None`` disables recomputation, and a count
+            below 1 raises ``ValueError`` as ``checkpoint_plan`` does.
     """
 
     def __init__(
@@ -153,12 +157,13 @@ class TrainingRuntime:
         memory *or* recomputed, never both — and recompute replays
         prefetch any offloaded inputs they flow through.
         """
-        import math
-
         self._dropped: Set[int] = set()
         self._droppable_order: List[int] = []
         if recompute_segments is None:
             return
+        if recompute_segments < 1:
+            raise ValueError(f"segment_count must be at least 1, got "
+                             f"{recompute_segments}")
         offloaded_owners = {
             s.owner for s in self.liveness.all_storages()
             if s.needed_backward and self.policy.wants_offload(
@@ -172,10 +177,7 @@ class TrainingRuntime:
             and self.network[s.owner].kind is not LayerKind.INPUT
         ]
         droppable.sort(key=lambda s: s.owner)
-        count = len(droppable)
-        segments = max(1, recompute_segments) if recompute_segments > 0 \
-            else max(1, math.isqrt(count))
-        stride = max(1, -(-count // segments))
+        stride = max(1, -(-len(droppable) // recompute_segments))
         self._droppable_order = [s.owner for s in droppable]
         self._dropped = {
             s.owner for i, s in enumerate(droppable) if i % stride != 0

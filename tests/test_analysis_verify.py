@@ -11,8 +11,10 @@ from conftest import make_fork_join_cnn, make_linear_cnn
 
 from repro.analysis.hb import check_races
 from repro.analysis.trace import OpKind
+from repro.analysis.diagnostics import Report
 from repro.analysis.verify import (analyze_trace, verify_point,
-                                   verify_result, verify_schedule)
+                                   verify_result, verify_schedule,
+                                   verify_zoo)
 from repro.core.algo_config import AlgoConfig
 from repro.core.executor import simulate_baseline, simulate_vdnn
 from repro.core.policy import TransferPolicy
@@ -108,6 +110,75 @@ class TestMutations:
         report = analyze_trace(result.schedule_trace, network=deep_cnn,
                                subject="untouched")
         assert report.ok and not report.warnings
+
+
+class TestZooSweep:
+    """The grid row (network, batch) is the sweep's task unit."""
+
+    NAMES = ["alexnet", "rnn"]
+    POINTS = (("base", "m"), ("all", "p"), ("dyn", "-"))
+
+    def subjects(self, reports):
+        return [r.subject.split(" (", 1)[0] for r in reports]
+
+    def test_one_build_per_row_in_grid_order(self, monkeypatch):
+        import repro.zoo as zoo
+
+        built = []
+        real_build = zoo.build
+
+        def counting_build(name, batch=None):
+            built.append(name)
+            return real_build(name, batch)
+
+        monkeypatch.setattr(zoo, "build", counting_build)
+        reports = verify_zoo(names=self.NAMES, batch=8, policies=self.POINTS)
+        assert built == self.NAMES
+        assert self.subjects(reports) == [
+            "AlexNet(8) base(m)", "AlexNet(8) all(p)", "AlexNet(8) dyn",
+            "RNN-T16(8) base(m)", "RNN-T16(8) all(p)", "RNN-T16(8) dyn"]
+        assert all(r.ok for r in reports)
+
+    def test_pooled_rows_match_serial(self):
+        serial = verify_zoo(names=self.NAMES, batch=8, policies=self.POINTS)
+        pooled = verify_zoo(names=self.NAMES, batch=8, policies=self.POINTS,
+                            jobs=2)
+        assert [r.to_dict() for r in pooled] == \
+            [r.to_dict() for r in serial]
+
+    def test_hybrid_reverifies_only_static_dirty_points(self, monkeypatch):
+        import repro.analysis.static_plan as static_plan
+        import repro.analysis.verify as verify
+
+        dirty = {("alexnet", "all"), ("rnn", "base"), ("rnn", "dyn")}
+
+        def fake_static(names, batch, policies):
+            reports = []
+            for name in names:
+                for policy, _algo in policies:
+                    report = Report(subject=f"{name} {policy} [static]")
+                    if (name, policy) in dirty:
+                        report.add("SP402", "synthetic static failure")
+                    reports.append(report)
+            return reports
+
+        simulated = []
+        real_point = verify.verify_point
+
+        def counting_point(network, policy, algo):
+            simulated.append((network.name, policy))
+            return real_point(network, policy=policy, algo=algo)
+
+        monkeypatch.setattr(static_plan, "verify_zoo_static", fake_static)
+        monkeypatch.setattr(verify, "verify_point", counting_point)
+        reports = verify_zoo(names=self.NAMES, batch=8, policies=self.POINTS,
+                             mode="hybrid")
+        assert simulated == [("AlexNet(8)", "all"), ("RNN-T16(8)", "base"),
+                             ("RNN-T16(8)", "dyn")]
+        assert self.subjects(reports) == [
+            "alexnet base [static]", "AlexNet(8) all(p)",
+            "alexnet dyn [static]", "RNN-T16(8) base(m)",
+            "rnn all [static]", "RNN-T16(8) dyn"]
 
 
 class TestMultiTenant:

@@ -378,3 +378,26 @@ class TestProfile:
         assert main(["profile", "--sort", "tottime", "--",
                      "networks"]) == 0
         assert "Ordered by: internal time" in capsys.readouterr().out
+
+
+class TestStartup:
+    def test_cli_import_leaves_numerics_and_numpy_unloaded(self):
+        """No simulator path needs numpy: ``repro.numerics`` loads on
+        first access, not with the package."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro, repro.cli\n"
+            "print('numpy' in sys.modules, 'repro.numerics' in sys.modules)\n"
+            "print(repro.numerics.TrainingRuntime.__name__)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        output = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert output.stdout.split("\n")[:2] == ["False False",
+                                                 "TrainingRuntime"]

@@ -113,3 +113,12 @@ class TestHybridOffloadRecompute:
         runtime = TrainingRuntime(deep_cnn, TransferPolicy.none(),
                                   recompute_segments=2)
         assert runtime._dropped
+
+
+class TestSegmentValidation:
+    @pytest.mark.parametrize("segments", [0, -1])
+    def test_non_positive_segment_count_rejected(self, segments):
+        """Same contract as ``checkpoint_plan``: no silent default."""
+        with pytest.raises(ValueError,
+                           match="segment_count must be at least 1"):
+            TrainingRuntime(make_linear_cnn(), recompute_segments=segments)

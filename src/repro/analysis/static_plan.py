@@ -1279,14 +1279,16 @@ def verify_service_plan(
 ) -> Report:
     """Check a :class:`~repro.serve.layering.ServicePlan`'s invariants.
 
-    Re-derives the plan's accounting from first principles (per-layer
-    weights, liveness-based activation peak) and checks the pipeline
-    identities that must hold for any serial-DMA/serial-compute
-    recurrence.  Pass ``system=None`` to skip the SP401 footprint-vs-
-    budget warning.
+    Re-derives the plan's weight accounting from first principles
+    (per-layer weights), checks its activation term against the
+    compiled plan's forward peak, and checks the pipeline identities
+    that must hold for any serial-DMA/serial-compute recurrence.  Pass
+    ``system=None`` to skip the SP401 footprint-vs-budget warning; the
+    forward peak does not depend on the system, so it is then compiled
+    under :data:`~repro.hw.PAPER_SYSTEM`.
     """
     from ..core.inference import weight_load_bytes
-    from ..serve.layering import activation_peak_bytes, streamed_layer_bytes
+    from ..serve.layering import streamed_layer_bytes
 
     report = Report(subject=subject or
                     f"{plan.model} serve[{plan.residency}] [static]")
@@ -1353,12 +1355,13 @@ def verify_service_plan(
             "SP406",
             f"service {plan.service_seconds}s != compute "
             f"{plan.compute_seconds}s + stall {plan.stall_seconds}s")
-    expected_act = activation_peak_bytes(network, algos)
+    expected_act = compiled_plan(network, system or PAPER_SYSTEM,
+                                 algos).forward_peak_bytes
     if plan.activation_bytes != expected_act:  # repro: allow(LINT204)
         report.add(
             "SP406",
             f"activation_bytes {plan.activation_bytes} disagrees with "
-            f"the liveness-derived peak {expected_act}")
+            f"the compiled forward peak {expected_act}")
     if system is not None \
             and plan.footprint_bytes > system.gpu.memory_bytes:
         report.add(

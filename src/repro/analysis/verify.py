@@ -192,10 +192,20 @@ def verify_zoo(
 
 def _run_rows(rows: Sequence[_RowTask], jobs: int) -> List[Report]:
     """Verify grid rows (in worker processes when ``jobs > 1``); the
-    reports come back flattened in grid order."""
+    reports come back flattened in grid order.
+
+    The pool takes rows longest first (most layers in the built
+    network, ties in grid order), so the deepest rows do not start last
+    and leave one worker running alone at the end."""
     if jobs > 1:
+        from ..zoo import build
+
+        depth = [len(build(name, batch)) for name, batch, _points in rows]
+        order = sorted(range(len(rows)), key=lambda row: -depth[row])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_row_task, rows))
+            done = dict(zip(order, pool.map(
+                _verify_row_task, [rows[row] for row in order])))
+        results = [done[row] for row in range(len(rows))]
     else:
         results = [_verify_row_task(row) for row in rows]
     return [report for row in results for report in row]

@@ -14,15 +14,14 @@ from typing import Dict
 
 from ..alloc.pool import Allocation, PoolAllocator
 from ..alloc.stats import UsageTracker
-from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..kernels.latency import LatencyModel
 from ..sim.stream import make_stream_pair
 from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
 from .executor import IterationResult, _feature_extraction_time
 from .liveness import LivenessAnalysis
+from .plan import compiled_plan
 
 _UNBOUNDED = 1 << 50
 
@@ -74,14 +73,19 @@ def simulate_inference(
 ) -> IterationResult:
     """One forward pass under layer-wise release (Figure 7).
 
+    A plain replay of the compiled plan's forward steps: each step
+    allocates its Y and workspace, runs its kernel, frees the workspace
+    and then the inputs it last reads (``step.releases``).  Only the
+    feature-extraction weights are allocated up front; nothing is held
+    for a backward pass, so there is no dW, offload or prefetch.
+
     Returns an :class:`IterationResult` with ``policy_label``
     ``"inference"``; backward-related fields are zero and
     ``weight_load_bytes`` carries the per-layer weight accounting the
     serving subsystem's demand-layering executor reuses.
     """
     _validate_inference_batch(network)
-    latency = LatencyModel(system.gpu)
-    liveness = LivenessAnalysis(network)
+    plan = compiled_plan(network, system, algos)
     pool = PoolAllocator(_UNBOUNDED)
     compute, _memory, timeline = make_stream_pair()
     usage = UsageTracker()
@@ -90,42 +94,32 @@ def simulate_inference(
     def sample() -> None:
         usage.record(compute.ready_time, pool.live_bytes)
 
-    persistent = 0
-    external = 0
-    for node in network:
-        if not node.weight_bytes:
-            continue
-        if node.is_feature_extraction:
-            pool.alloc(node.weight_bytes, f"W[{node.name}]")
-            sample()
-        else:
-            external += node.weight_bytes
-        persistent += node.weight_bytes
+    for weights in plan.persistent:
+        pool.alloc(weights.nbytes, weights.w_tag)
+        sample()
+    weight_loads = weight_load_bytes(network)
+    persistent = sum(weight_loads.values())
+    external = persistent - sum(weights.nbytes for weights in plan.persistent)
 
-    for index in network.forward_schedule():
-        node = network[index]
-        if not node.in_place:
-            storage = liveness.storage_of(index)
-            device[storage.owner] = pool.alloc(storage.nbytes,
-                                               f"Y[{node.name}]")
+    for step in plan.forward:
+        if step.alloc_rec is not None:
+            device[step.y_owner] = pool.alloc(step.alloc_rec.nbytes,
+                                              step.y_tag)
             sample()
-        if node.kind is not LayerKind.INPUT:
+        if not step.is_input:
             workspace = None
-            ws_bytes = algos.workspace_bytes(node)
-            if ws_bytes:
-                workspace = pool.alloc(ws_bytes, f"WS[{node.name}]")
+            if step.ws_bytes:
+                workspace = pool.alloc(step.ws_bytes, step.ws_tag)
                 sample()
-            timing = latency.forward(network, node, algos.profile(node))
-            compute.enqueue(EventKind.FORWARD, node.name, timing.seconds,
-                            nbytes=int(timing.dram_bytes), layer_index=index)
+            compute.enqueue(EventKind.FORWARD, step.name, step.seconds,
+                            nbytes=step.dram_nbytes, layer_index=step.index)
             if workspace is not None:
                 pool.free(workspace)
                 sample()
         # Figure 7: free every input at its last consumer, full stop.
-        for storage in liveness.input_storages(index):
-            if storage.forward_release_at == index:
-                pool.free(device.pop(storage.owner))
-                sample()
+        for rec in step.releases:
+            pool.free(device.pop(rec.owner))
+            sample()
 
     # The network output remains live for the caller; free it last.
     for allocation in list(device.values()):
@@ -154,5 +148,5 @@ def simulate_inference(
         prefetch_bytes=0,
         pinned_peak_bytes=0,
         compute_stall_seconds=0.0,
-        weight_load_bytes=weight_load_bytes(network),
+        weight_load_bytes=weight_loads,
     )

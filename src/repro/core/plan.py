@@ -66,12 +66,17 @@ class StorageRecord:
 
 
 class ForwardStep:
-    """Everything one forward layer does, decided ahead of time."""
+    """Everything one forward layer does, decided ahead of time.
+
+    ``releases`` holds the inputs whose last forward reader this is, in
+    input order: the free order of a forward-only pass.  The training
+    walk splits them into ``offload_candidates`` (needed backward) and
+    ``dead_releases`` (not)."""
 
     __slots__ = ("index", "name", "is_input", "alloc_rec", "y_tag",
                  "y_owner", "ws_bytes", "ws_tag", "ws_buf", "seconds",
-                 "dram_nbytes", "offload_candidates", "dead_releases",
-                 "trace_reads", "trace_writes")
+                 "dram_nbytes", "releases", "offload_candidates",
+                 "dead_releases", "trace_reads", "trace_writes")
 
     def __init__(self, index: int, name: str):
         self.index = index
@@ -85,6 +90,7 @@ class ForwardStep:
         self.ws_buf = ""
         self.seconds = 0.0
         self.dram_nbytes = 0
+        self.releases: Tuple[StorageRecord, ...] = ()
         self.offload_candidates: Tuple[StorageRecord, ...] = ()
         self.dead_releases: Tuple[StorageRecord, ...] = ()
         self.trace_reads: Tuple[str, ...] = ()
@@ -142,9 +148,10 @@ class CompiledPlan:
     """
 
     __slots__ = ("network_name", "forward", "forward_steps", "backward",
-                 "persistent", "external_bytes", "persistent_bytes",
-                 "classifier_indices", "input_owners", "records",
-                 "baseline_breakdown", "drop_triggers", "_offload_sets")
+                 "forward_peak_bytes", "persistent", "external_bytes",
+                 "persistent_bytes", "classifier_indices", "input_owners",
+                 "records", "baseline_breakdown", "drop_triggers",
+                 "_offload_sets")
 
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig):
@@ -217,12 +224,13 @@ class CompiledPlan:
             step.dram_nbytes = int(timing.dram_bytes)
 
             inputs = liveness.input_storages(index)
+            step.releases = tuple(
+                records[s.owner] for s in inputs
+                if s.forward_release_at == index)
             step.offload_candidates = tuple(
-                records[s.owner] for s in inputs
-                if s.forward_release_at == index and s.needed_backward)
+                rec for rec in step.releases if rec.info.needed_backward)
             step.dead_releases = tuple(
-                records[s.owner] for s in inputs
-                if s.forward_release_at == index and not s.needed_backward)
+                rec for rec in step.releases if not rec.info.needed_backward)
 
             reads = [records[s.owner].y_buf for s in inputs]
             if node.weight_bytes and node.is_feature_extraction:
@@ -236,6 +244,18 @@ class CompiledPlan:
         self.forward = tuple(forward)
         #: layer index -> its forward step (the replay lookup).
         self.forward_steps = {step.index: step for step in forward}
+
+        #: Peak bytes of a forward-only pass (Figure 7): live Y bytes
+        #: plus the step's workspace, each input freed at its last
+        #: reader.  The activation term of inference and serving.
+        live = 0
+        peak = 0
+        for step in forward:
+            if step.alloc_rec is not None:
+                live += step.alloc_rec.nbytes
+            peak = max(peak, live + step.ws_bytes)
+            live -= sum(rec.nbytes for rec in step.releases)
+        self.forward_peak_bytes = peak
 
         # -- backward steps --------------------------------------------
         # Gradient allocations and releases, bucketed by backward step in

@@ -26,7 +26,6 @@ from .layering import (
     RESIDENCY_POLICIES,
     ServePlanError,
     ServicePlan,
-    activation_peak_bytes,
     plan_service,
     shrink_window,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "ServePlanError",
     "ServeResult",
     "ServicePlan",
-    "activation_peak_bytes",
     "fleet_stats",
     "generate_requests",
     "model_stats",

@@ -24,25 +24,26 @@ Three residency policies, per model:
   scales with bytes while compute does not.
 
 The planner is analytic and deterministic: it runs the same pipeline
-recurrence as a discrete-event schedule would, layer by layer in the
-forward schedule, and returns a :class:`ServicePlan` the server replays
-per request.  Shrinking the window (the first rung of the overload
-ladder) is just re-planning with a smaller ``window_bytes``.
+recurrence as a discrete-event schedule would, over the forward steps
+of the cached :class:`~repro.core.plan.CompiledPlan`, and returns a
+:class:`ServicePlan` the server replays per request.  Kernel seconds
+and the activation peak are read from those steps, not derived here:
+serving is the compiled forward walk plus a weight window.  Shrinking
+the window (the first rung of the overload ladder) is just re-planning
+with a smaller ``window_bytes``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple
 
 from ..core.algo_config import AlgoConfig
 from ..core.inference import _validate_inference_batch, weight_load_bytes
-from ..core.liveness import LivenessAnalysis
-from ..graph.layer import LayerKind
+from ..core.plan import compiled_plan
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..kernels.latency import LatencyModel
 
 #: Residency policies accepted by :func:`plan_service`.
 RESIDENCY_POLICIES = ("resident", "layered", "pinned")
@@ -69,8 +70,9 @@ class ServicePlan:
             streamed layer so the pipeline recurrence is always
             feasible (documented rather than failed, since a window
             that cannot hold one layer can never make progress).
-        activation_bytes: peak transient activations + workspace of one
-            forward pass (layer-wise release, Figure 7 shape).
+        activation_bytes: the compiled plan's ``forward_peak_bytes``:
+            peak live activations + workspace of one forward pass that
+            frees each input at its last reader (Figure 7).
         footprint_bytes: persistent + window + activations — what the
             pool must actually hold to serve one request.
         cold_start_seconds: one-time install cost (DMA of persistent
@@ -108,50 +110,6 @@ class ServicePlan:
         if self.dma_seconds <= 0:
             return 1.0
         return max(0.0, 1.0 - self.stall_seconds / self.dma_seconds)
-
-
-def activation_peak_bytes(network: Network, algos: AlgoConfig) -> int:
-    """Peak transient bytes of one layer-wise-release forward pass.
-
-    Mirrors :func:`repro.core.inference.simulate_inference`'s allocation
-    shape — Y allocated at its producer, workspace live only during the
-    kernel, X freed at its last consumer — without running the latency
-    model.  This is the activation term of a serving footprint.
-    """
-    liveness = LivenessAnalysis(network)
-    live = 0
-    peak = 0
-    held: Dict[int, int] = {}
-    for index in network.forward_schedule():
-        node = network[index]
-        if not node.in_place:
-            storage = liveness.storage_of(index)
-            held[storage.owner] = storage.nbytes
-            live += storage.nbytes
-        workspace = 0
-        if node.kind is not LayerKind.INPUT:
-            workspace = algos.workspace_bytes(node)
-        peak = max(peak, live + workspace)
-        for storage in liveness.input_storages(index):
-            if storage.forward_release_at == index:
-                live -= held.pop(storage.owner, storage.nbytes)
-    return peak
-
-
-def _layer_compute_seconds(
-    network: Network, system: SystemConfig, algos: AlgoConfig
-) -> Dict[int, float]:
-    """Per-layer forward kernel seconds in schedule order."""
-    latency = LatencyModel(system.gpu)
-    out: Dict[int, float] = {}
-    for index in network.forward_schedule():
-        node = network[index]
-        if node.kind is LayerKind.INPUT:
-            out[index] = 0.0
-        else:
-            out[index] = latency.forward(network, node,
-                                         algos.profile(node)).seconds
-    return out
 
 
 def _pick_pinned(
@@ -195,11 +153,11 @@ def plan_service(
             f"window_bytes must be positive, got {window_bytes}")
     _validate_inference_batch(network)
 
+    compiled = compiled_plan(network, system, algos)
     weights = weight_load_bytes(network)
     total_weights = sum(weights.values())
-    compute = _layer_compute_seconds(network, system, algos)
-    compute_total = sum(compute.values())
-    activations = activation_peak_bytes(network, algos)
+    compute_total = sum(step.seconds for step in compiled.forward)
+    activations = compiled.forward_peak_bytes
     dma = system.pcie.dma_time
 
     if residency == "pinned":
@@ -246,9 +204,9 @@ def plan_service(
     dma_total = 0.0
     stall = 0.0
     window_peak = 0
-    for index in network.forward_schedule():
+    for step in compiled.forward:
         ready = compute_ready
-        nbytes = streamed.get(index, 0)
+        nbytes = streamed.get(step.index, 0)
         if nbytes:
             start = dma_ready
             while occupancy + nbytes > effective_window:
@@ -262,7 +220,7 @@ def plan_service(
             window_peak = max(window_peak, occupancy)
             ready = max(ready, load_done)
         stall += max(0.0, ready - compute_ready)
-        finish = ready + compute[index]
+        finish = ready + step.seconds
         compute_ready = finish
         if nbytes:
             loaded.append((nbytes, finish))
@@ -310,9 +268,13 @@ def shrink_window(
     Halving (by default) the window trades footprint for stall.  The
     result's window may clamp at the largest streamed layer — the floor
     below which shrinking stops helping and the ladder must move to its
-    next rung (shedding).
+    next rung (shedding).  A plan already at that floor is returned
+    as is: a re-plan could not make it smaller.
     """
     if plan.residency == "resident" or plan.streamed_bytes == 0:
+        return plan
+    floor = max(streamed_layer_bytes(network, plan).values())
+    if plan.window_bytes <= floor:
         return plan
     target = max(1, int(plan.window_bytes * factor))
     return plan_service(

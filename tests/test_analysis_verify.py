@@ -146,6 +146,35 @@ class TestZooSweep:
         assert [r.to_dict() for r in pooled] == \
             [r.to_dict() for r in serial]
 
+    def test_pool_takes_longest_rows_first(self, monkeypatch):
+        import repro.analysis.verify as verify
+
+        dispatched = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, rows):
+                dispatched.extend(name for name, _batch, _points in rows)
+                return [fn(row) for row in rows]
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+        names = ["alexnet", "resnet18", "rnn", "vgg16"]
+        reports = verify_zoo(names=names, batch=8,
+                             policies=(("base", "m"),), jobs=2)
+        # 81, 70, 46 and 24 layers.
+        assert dispatched == ["rnn", "resnet18", "vgg16", "alexnet"]
+        assert self.subjects(reports) == [
+            "AlexNet(8) base(m)", "ResNet-18(8) base(m)",
+            "RNN-T16(8) base(m)", "VGG-16(8) base(m)"]
+
     def test_hybrid_reverifies_only_static_dirty_points(self, monkeypatch):
         import repro.analysis.static_plan as static_plan
         import repro.analysis.verify as verify

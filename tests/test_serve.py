@@ -8,8 +8,10 @@ import pytest
 
 from repro.cli import main
 from repro.core import AlgoConfig, simulate_inference, weight_load_bytes
+from repro.core.plan import compiled_plan
 from repro.faults import FaultSpec
 from repro.hw import PAPER_SYSTEM, SystemConfig
+from repro.serve import layering
 from repro.serve import (
     ArrivalSpec,
     ArrivalSpecError,
@@ -17,7 +19,6 @@ from repro.serve import (
     ServeConfig,
     ServeConfigError,
     ServePlanError,
-    activation_peak_bytes,
     generate_requests,
     parse_models,
     plan_service,
@@ -170,12 +171,27 @@ class TestServicePlan:
         assert shrink_window(self.network, self.system, self.algos,
                              resident) is resident
 
+    def test_shrink_window_stops_at_the_floor(self, monkeypatch):
+        plan = self._plan("layered", window_bytes=1)
+        assert plan.window_bytes == max(
+            weight_load_bytes(self.network).values())
+
+        def no_replan(*args, **kwargs):
+            raise AssertionError("re-planned at the window floor")
+
+        monkeypatch.setattr(layering, "plan_service", no_replan)
+        assert shrink_window(self.network, self.system, self.algos,
+                             plan) is plan
+
     def test_activation_peak_positive_and_batch_scaled(self):
-        one = activation_peak_bytes(self.network, self.algos)
+        one = compiled_plan(self.network, self.system,
+                            self.algos).forward_peak_bytes
         big_net = build("alexnet", 8)
-        big = activation_peak_bytes(big_net,
-                                    AlgoConfig.memory_optimal(big_net))
+        big = compiled_plan(big_net, self.system,
+                            AlgoConfig.memory_optimal(big_net)
+                            ).forward_peak_bytes
         assert 0 < one < big
+        assert self._plan("resident").activation_bytes == one
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ServePlanError):
